@@ -65,7 +65,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.majority import DEFAULT_CITY_RANGE_KM, majority_of_records
 from repro.geo.coordinates import GeoPoint
@@ -76,6 +76,9 @@ from repro.serve.cache import LruCache
 from repro.serve.errors import NoHealthyVendors, ServeError, VendorError
 from repro.serve.index import CompiledIndex, IndexAnswer
 from repro.serve.snapshot import load_index_set
+
+if TYPE_CHECKING:  # plane.py imports this module
+    from repro.serve.plane import PlaneAnswer
 
 __all__ = [
     "ConsensusAnswer",
@@ -188,6 +191,7 @@ swap` (one reference assignment) can never hand it another
         "health_lock",
         "healthy",
         "missing",
+        "memo",
         "activated_monotonic",
         "activated_unix",
     )
@@ -219,6 +223,9 @@ swap` (one reference assignment) can never hand it another
         # a plain bool attribute read is atomic, and a stale False only
         # costs one live-path resolve, never correctness.
         self.healthy = not missing
+        # Derived data callers cache per generation (see
+        # ServingEngine.generation_memo); it dies with the generation.
+        self.memo: dict = {}
         self.activated_monotonic = activated_monotonic
         self.activated_unix = time.time()
 
@@ -238,6 +245,12 @@ class LookupOutcome:
     ``quarantined`` (skipped: circuit open or snapshot missing), and
     ``skipped`` (not probed: the deadline budget ran out).  Treat the
     containers as read-only — outcomes are shared via the cache.
+
+    ``cell`` is the :class:`~repro.serve.plane.PlaneAnswer` a healthy
+    plane lookup came from (``None`` on the live, degraded, and cache
+    paths), so :meth:`ServingEngine.consensus_of` can reuse the vote the
+    plane tallied at compile time.  It takes no part in equality or
+    ``repr``: a plane outcome equals the live outcome for its address.
     """
 
     address: IPv4Address
@@ -246,6 +259,7 @@ class LookupOutcome:
     quarantined: tuple[str, ...] = ()
     skipped: tuple[str, ...] = ()
     deadline_exceeded: bool = False
+    cell: PlaneAnswer | None = field(default=None, compare=False, repr=False)
 
     @property
     def degraded(self) -> bool:
@@ -569,6 +583,19 @@ class ServingEngine:
             "rollbacks": self._rollbacks,
         }
 
+    def generation_memo(self) -> dict:
+        """A scratch table that lives exactly as long as the served
+        generation.
+
+        Callers cache data derived from the generation's records here
+        (the HTTP layer keeps its per-record JSON fragments in it), so a
+        hot swap drops the old entries together with the old generation
+        and repeated swaps cannot grow the table without bound.  Entries
+        must be pure functions of their key: a request that straddles a
+        swap may add an entry from the previous generation.
+        """
+        return self._gen.memo
+
     def register_watcher(self, watcher) -> None:
         """Track a store watcher so :meth:`close` stops its thread.
 
@@ -608,21 +635,17 @@ class ServingEngine:
 
         The plane hot path answers in ~1 µs, so it cannot afford two
         registry ``inc`` calls per request; instead the counters it
-        feeds are pre-resolved here into multi-name
-        :class:`~repro.obs.metrics.CounterCell` slots — one locked add
-        per plane hit updates ``serve.lookups`` and ``plane.hits`` (and,
-        for consensus hits, ``serve.consensus``) at once, keeping the
-        counts exact for the hammer tests' reconciliation.
+        feeds are pre-resolved here into a multi-name
+        :class:`~repro.obs.metrics.CounterCell` — one locked add per
+        plane hit updates ``serve.lookups`` and ``plane.hits`` at once,
+        keeping the counts exact for the hammer tests' reconciliation.
         """
         self._metrics = metrics
-        if metrics is not None:
-            self._cell_plane_hit = metrics.cell("serve.lookups", "plane.hits")
-            self._cell_plane_consensus = metrics.cell(
-                "serve.lookups", "serve.consensus", "plane.hits"
-            )
-        else:
-            self._cell_plane_hit = None
-            self._cell_plane_consensus = None
+        self._cell_plane_hit = (
+            metrics.cell("serve.lookups", "plane.hits")
+            if metrics is not None
+            else None
+        )
         if self._injector is not None:
             self._injector.attach_metrics(metrics)
 
@@ -1052,9 +1075,16 @@ class ServingEngine:
 
     def consensus_of(self, outcome: LookupOutcome) -> ConsensusAnswer:
         """Majority answer plus disagreement/degradation flags for an
-        already-resolved outcome (no second lookup pass)."""
+        already-resolved outcome (no second lookup pass).
+
+        A plane outcome carries its cell, whose vote was tallied at
+        compile time: that is a field copy, not a fresh vote.
+        """
         if self._metrics is not None:
             self._metrics.inc("serve.consensus")
+        cell = outcome.cell
+        if cell is not None:
+            return cell.consensus_at(outcome.address)
         records = [
             answer.record
             for answer in outcome.answers.values()
@@ -1085,20 +1115,7 @@ class ServingEngine:
         )
 
     def consensus(self, address: IPv4Address | str | int) -> ConsensusAnswer:
-        """Majority answer plus cross-database disagreement flags.
-
-        On the healthy plane path the vote was already tallied at compile
-        time, so this is a bisect and a field copy rather than a fresh
-        majority computation per request.
-        """
-        gen = self._gen
-        plane = gen.plane_live
-        if plane is not None and gen.healthy:
-            parsed = parse_address(address)
-            cell = self._cell_plane_consensus
-            if cell is not None:
-                cell.add()
-            return plane.probe(int(parsed)).consensus_at(parsed)
+        """Majority answer plus cross-database disagreement flags."""
         return self.consensus_of(self.lookup_outcome(address))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

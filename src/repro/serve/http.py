@@ -178,6 +178,27 @@ def _response_head(
     return b"".join(parts)
 
 
+# -- JSON bodies ----------------------------------------------------------------
+#
+# Every body is exactly ``json.dumps(payload, sort_keys=True)``.  The one
+# shared encoder below is what ``json.dumps`` would build per call with
+# those arguments (its ``encode`` keeps no state between calls, so it is
+# thread-safe).  ``/lookup`` and ``/batch`` splice their bodies from
+# pieces in that same sorted key order instead of building and dumping
+# a payload dict: a vendor answer is ``pre + "<prefix>" + post``, where
+# ``pre``/``post`` are the record's JSON around its ``"prefix"`` key
+# (which sorts between ``"longitude"`` and ``"region"``).  The pair is
+# memoized per record — not per plane cell: thousands of cells share a
+# few thousand records — in the served generation's memo, so a hot swap
+# drops the table together with the generation.
+
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_encode = _ENCODER.encode
+#: What ``_encode`` itself calls for a ``str``, minus its dispatch.
+_encode_str = json.encoder.encode_basestring_ascii
+_PREFIX_KEY = '"prefix": '
+
+
 def _answer_to_json(answer: IndexAnswer | None) -> dict[str, Any] | None:
     if answer is None:
         return None
@@ -193,13 +214,43 @@ def _answer_to_json(answer: IndexAnswer | None) -> dict[str, Any] | None:
     }
 
 
-def _outcome_answers_json(
-    engine: ServingEngine, outcome: LookupOutcome
-) -> dict[str, Any]:
-    return {
-        name: _answer_to_json(outcome.answers.get(name))
-        for name in engine.vendor_names()
-    }
+def _record_fragments(record, memo: dict) -> tuple[str, str, Any]:
+    """``(pre, post, record)``: the record's answer JSON split around the
+    prefix value.  Keyed by identity — a dataclass hash re-hashes every
+    field per call — with the record kept in the value so its id cannot
+    be reused while the entry exists."""
+    entry = memo.get(id(record))
+    if entry is None:
+        text = _encode(_answer_to_json(IndexAnswer("", record)))
+        # Only the key itself can hold this text: any quote inside a
+        # string value is escaped.
+        cut = text.index(_PREFIX_KEY + '""') + len(_PREFIX_KEY)
+        entry = memo[id(record)] = (text[:cut], text[cut + 2 :], record)
+    return entry
+
+
+def _answer_keys(engine: ServingEngine) -> list[tuple[str, str]]:
+    """``(vendor, '"vendor": ')`` pairs in JSON key order — not the order
+    of ``vendor_names()``, which lists missing vendors last."""
+    return [
+        (name, _encode_str(name) + ": ") for name in sorted(engine.vendor_names())
+    ]
+
+
+def _answers_body(
+    keys: list[tuple[str, str]], outcome: LookupOutcome, memo: dict
+) -> str:
+    """The ``answers`` object: every vendor, ``null`` where it has none."""
+    answers = outcome.answers
+    parts = []
+    for name, key in keys:
+        answer = answers.get(name)
+        if answer is None:
+            parts.append(key + "null")
+        else:
+            pre, post, _ = _record_fragments(answer.record, memo)
+            parts.append(key + pre + _encode_str(answer.prefix) + post)
+    return "{" + ", ".join(parts) + "}"
 
 
 def _consensus_to_json(consensus: ConsensusAnswer) -> dict[str, Any]:
@@ -295,7 +346,7 @@ class _Handler(BaseHTTPRequestHandler):
         endpoint: str,
         headers: dict[str, str] | None = None,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = _encode(payload).encode("utf-8")
         self._send_body(status, body, "application/json", endpoint, headers)
 
     def _timed(self, endpoint: str, handler) -> None:
@@ -434,16 +485,25 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)}, endpoint)
             return
         consensus = engine.consensus_of(outcome)
-        payload = {
-            "ip": ip,
-            "answers": _outcome_answers_json(engine, outcome),
-            "consensus": _consensus_to_json(consensus),
-            "degraded": outcome.degraded,
-            "degraded_vendors": list(outcome.unavailable()),
-        }
+        degraded = outcome.degraded
+        parts = [
+            '{"answers": ',
+            _answers_body(_answer_keys(engine), outcome, engine.generation_memo()),
+            ', "consensus": ',
+            _encode(_consensus_to_json(consensus)),
+            ', "degraded": ',
+            "true" if degraded else "false",
+            ', "degraded_vendors": ',
+            _encode(list(outcome.unavailable())) if degraded else "[]",
+            ', "ip": ',
+            _encode_str(ip),
+        ]
         if trace is not None:
-            payload["trace_id"] = trace.trace_id
-        self._send_json(200, payload, endpoint)
+            parts += (', "trace_id": ', _encode_str(trace.trace_id))
+        parts.append("}")
+        self._send_body(
+            200, "".join(parts).encode("utf-8"), "application/json", endpoint
+        )
 
     def _handle_batch(self, endpoint: str) -> None:
         try:
@@ -493,35 +553,45 @@ class _Handler(BaseHTTPRequestHandler):
         # Validate up front so the fan-out only sees clean addresses;
         # invalid entries come back as per-item errors, not a failed batch.
         engine = self.engine
-        results: list[dict[str, Any] | None] = [None] * len(ips)
+        results: list[str | None] = [None] * len(ips)
         valid: list[tuple[int, Any]] = []
         for i, ip in enumerate(ips):
             try:
                 valid.append((i, parse_address(ip)))
             except ValueError as exc:
-                results[i] = {"ip": str(ip), "error": str(exc)}
+                results[i] = _encode({"ip": str(ip), "error": str(exc)})
         trace = self._trace
         outcomes = engine.outcome_batch(
             [address for _, address in valid], trace=trace
         )
+        keys = _answer_keys(engine)
+        memo = engine.generation_memo()
         for (i, address), outcome in zip(valid, outcomes):
             if isinstance(outcome, ServeError):
                 # A typed serving error is a per-item result too: the
                 # batch survives, the item is honestly unanswerable.
-                results[i] = {"ip": str(address), "error": str(outcome)}
+                results[i] = _encode({"ip": str(address), "error": str(outcome)})
                 continue
-            item: dict[str, Any] = {
-                "ip": str(address),
-                "answers": _outcome_answers_json(engine, outcome),
-            }
-            if outcome.degraded:
-                item["degraded"] = True
-                item["degraded_vendors"] = list(outcome.unavailable())
-            results[i] = item
-        response: dict[str, Any] = {"count": len(results), "results": results}
+            degraded = (
+                ', "degraded": true, "degraded_vendors": '
+                + _encode(list(outcome.unavailable()))
+                if outcome.degraded
+                else ""
+            )
+            results[i] = (
+                '{"answers": '
+                + _answers_body(keys, outcome, memo)
+                + degraded
+                + ', "ip": '
+                + _encode_str(str(address))
+                + "}"
+            )
+        body = '{"count": %d, "results": [%s]' % (len(results), ", ".join(results))
         if trace is not None:
-            response["trace_id"] = trace.trace_id
-        self._send_json(200, response, endpoint)
+            body += ', "trace_id": ' + _encode_str(trace.trace_id)
+        self._send_body(
+            200, (body + "}").encode("utf-8"), "application/json", endpoint
+        )
 
     def _handle_healthz(self, endpoint: str) -> None:
         engine = self.engine

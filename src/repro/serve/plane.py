@@ -109,8 +109,9 @@ class PlaneAnswer:
     quorum: bool
 
     def outcome_at(self, address: IPv4Address) -> LookupOutcome:
-        """This cell as a healthy :class:`LookupOutcome` for ``address``."""
-        return LookupOutcome(address=address, answers=self.answers)
+        """This cell as a healthy :class:`LookupOutcome` for ``address``,
+        carrying the cell so its precomputed consensus is reused."""
+        return LookupOutcome(address=address, answers=self.answers, cell=self)
 
     def consensus_at(self, address: IPv4Address) -> ConsensusAnswer:
         """This cell as a healthy :class:`ConsensusAnswer` for ``address``."""

@@ -94,6 +94,74 @@ class TestEquivalence:
         assert set(cell_ids) == set(range(len(cells)))
 
 
+class TestCellReference:
+    """A plane outcome carries its cell so consensus_of can reuse the
+    compile-time vote; the reference is invisible to equality."""
+
+    def test_plane_outcome_equals_live_and_carries_its_cell(
+        self, live_engine, plane_engine, probe_addresses
+    ):
+        for address in probe_addresses[::7]:
+            plane = plane_engine.lookup_outcome(address)
+            live = live_engine.lookup_outcome(address)
+            assert plane == live
+            assert plane.cell is plane_engine.lookup_plane(address)
+            assert live.cell is None
+            assert "cell" not in repr(plane)
+
+    def test_consensus_of_plane_outcome_matches_the_live_vote(
+        self, live_engine, plane_engine, probe_addresses
+    ):
+        for address in probe_addresses[::7]:
+            plane = plane_engine.lookup_outcome(address)
+            live = live_engine.lookup_outcome(address)
+            assert plane_engine.consensus_of(plane) == live_engine.consensus_of(live)
+
+    @pytest.mark.parametrize("with_plane", [True, False])
+    def test_consensus_counts_once_per_call(
+        self, compiled_indexes, answer_plane, with_plane
+    ):
+        metrics = MetricsRegistry()
+        engine = ServingEngine(
+            compiled_indexes,
+            cache_size=None,
+            metrics=metrics,
+            plane=answer_plane if with_plane else None,
+        )
+        outcome = engine.lookup_outcome("41.0.0.2")
+        assert (outcome.cell is not None) is with_plane
+        for calls in (1, 2, 3):
+            engine.consensus_of(outcome)
+            assert metrics.counter("serve.consensus") == calls
+        engine.consensus("41.0.0.3")
+        assert metrics.counter("serve.consensus") == 4
+        assert metrics.counter("serve.lookups") == 2
+        assert metrics.counter("plane.hits") == (2 if with_plane else 0)
+
+    def test_cached_outcome_has_no_cell(self, compiled_indexes):
+        metrics = MetricsRegistry()
+        engine = ServingEngine(compiled_indexes, metrics=metrics)
+        engine.lookup_outcome("41.0.0.2")
+        cached = engine.lookup_outcome("41.0.0.2")
+        assert metrics.counter("serve.cache_hits") == 1
+        assert cached.cell is None
+
+    def test_degraded_outcome_has_no_cell(self, compiled_indexes, answer_plane):
+        engine = ServingEngine(
+            compiled_indexes,
+            cache_size=None,
+            plane=answer_plane,
+            policy=ResiliencePolicy(cooldown_s=3600.0, cooldown_max_s=3600.0),
+        )
+        victim = engine.vendor_names()[0]
+        for _ in range(engine._policy.quarantine_threshold):
+            engine._record_failure(victim, RuntimeError("backend down"))
+        outcome = engine.lookup_outcome("41.0.0.2")
+        assert outcome.degraded and victim in outcome.quarantined
+        assert outcome.cell is None
+        assert engine.consensus_of(outcome).degraded
+
+
 class TestEngineHandshake:
     def test_quorum_mismatch_is_refused(self, compiled_indexes, answer_plane):
         with pytest.raises(ValueError, match="quorum_min"):
