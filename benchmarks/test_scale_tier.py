@@ -50,8 +50,8 @@ def test_scale_tier_compile(record_perf):
 
     # The tier must actually serve: the plane's precomputed answers have
     # to agree with the live per-vendor resolve path across the plan.
-    engine = ServingEngine(tier.indexes, cache_size=None, plane=tier.plane)
-    live = ServingEngine(tier.indexes, cache_size=None)
+    engine = ServingEngine(tier.indexes, plane=tier.plane)
+    live = ServingEngine(tier.indexes)
     for address in tier.world.sample_addresses(512):
         cell = engine.lookup_plane(address)
         outcome = live.lookup_outcome(address)

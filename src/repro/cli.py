@@ -14,13 +14,13 @@ Commands:
   per-stage share-of-total;
 * ``compile`` — build a scenario and write its four databases as
   compiled-index snapshots (``*.rgix``) a server loads at boot, plus
-  the precomputed cross-vendor answer plane (``plane.rgpl``) unless
-  ``--no-plane``;
+  the precomputed cross-vendor answer plane (``plane.rgpl``);
 * ``serve`` — run the HTTP JSON geolocation service (from compiled
   snapshots, a snapshot store's current generation via ``--store``
   [optionally hot-reloading newly published generations with
   ``--watch``], or compiling in-process when none are given); the
-  answer plane is loaded/compiled alongside unless ``--no-plane``;
+  answer plane is loaded or compiled alongside, and a snapshot set
+  without one is served on the live path;
 * ``snapshot`` — manage a snapshot store: ``publish`` compiles the
   scenario (optionally aged by ``--months`` to model a drifted vendor
   release) and commits it as a new generation, ``list`` shows every
@@ -157,10 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compile_cmd.add_argument("directory", help="where to write the *.rgix snapshots")
     compile_cmd.add_argument(
-        "--no-plane", dest="plane", action="store_false",
-        help="skip the cross-vendor answer plane (plane.rgpl)",
-    )
-    compile_cmd.add_argument(
         "--stream", type=int, default=None, metavar="INTERFACES",
         help="compile a streamed INTERFACES-interface scale tier instead of"
              " the materialized scenario (memory-bounded; ignores --scale)",
@@ -285,17 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listening port (0 binds an ephemeral port)",
     )
     serve.add_argument(
-        "--cache-size", type=int, default=4096,
-        help="LRU lookup-cache capacity (0 disables the cache)",
-    )
-    serve.add_argument(
         "--chaos-seed", type=int, default=None, metavar="N",
         help="inject the default chaos fault mix (seeded, deterministic) to"
              " exercise degraded serving; never use in production",
-    )
-    serve.add_argument(
-        "--no-plane", dest="plane", action="store_false",
-        help="serve without the precomputed answer plane (always resolve live)",
     )
     serve.add_argument(
         "--slow-ms", type=float, default=None, metavar="MS",
@@ -335,10 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--months", type=float, default=0.0,
         help="age every vendor snapshot by this many months before"
              " compiling (models a drifted release; default: 0)",
-    )
-    publish.add_argument(
-        "--no-plane", dest="plane", action="store_false",
-        help="publish without the precomputed answer plane",
     )
     snapshot_list = snapshot_cmds.add_parser(
         "list", help="list the store's generations (live one starred)"
@@ -466,9 +450,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             record, indexes, plane = store.load(current)
             engine = ServingEngine(
                 indexes,
-                cache_size=args.cache_size or None,
                 injector=_chaos_injector(args.chaos_seed),
-                plane=plane if args.plane else None,
+                plane=plane,
                 generation_id=record.generation,
                 generation_source="store",
             )
@@ -536,11 +519,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         plane = None
         plane_path = Path(args.snapshots) / f"plane{PLANE_SUFFIX}"
         try:
-            if args.plane and plane_path.is_file():
+            if plane_path.is_file():
                 plane = load_plane(plane_path)
             engine = ServingEngine.from_snapshot_dir(
                 args.snapshots,
-                cache_size=args.cache_size or None,
                 injector=_chaos_injector(args.chaos_seed),
                 plane=plane,
             )
@@ -551,6 +533,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(
                 f"answer plane: {plane.interval_count} intervals,"
                 f" {plane.cell_count} cells",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                f"answer plane: none in {args.snapshots} — every lookup"
+                f" resolves live",
                 file=sys.stderr,
             )
         return _run_server(
@@ -583,8 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         tier = build_scale_tier(interfaces=args.stream, seed=args.seed, tracer=tracer)
         try:
             root = save_index_set(tier.indexes, args.directory)
-            if args.plane:
-                save_plane(tier.plane, root / f"plane{PLANE_SUFFIX}")
+            save_plane(tier.plane, root / f"plane{PLANE_SUFFIX}")
         except SnapshotError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -857,9 +844,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         try:
             root = save_index_set(indexes, args.directory)
-            plane = compile_plane(indexes) if args.plane else None
-            if plane is not None:
-                save_plane(plane, root / f"plane{PLANE_SUFFIX}")
+            plane = compile_plane(indexes)
+            save_plane(plane, root / f"plane{PLANE_SUFFIX}")
         except SnapshotError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -868,11 +854,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"compiled {name}: {index.source_entries} entries ->"
                 f" {index.interval_count} intervals"
             )
-        if plane is not None:
-            print(
-                f"compiled answer plane: {plane.interval_count} intervals,"
-                f" {plane.cell_count} cells"
-            )
+        print(
+            f"compiled answer plane: {plane.interval_count} intervals,"
+            f" {plane.cell_count} cells"
+        )
         print(f"wrote {len(indexes)} snapshots to {root}")
         return 0
 
@@ -887,9 +872,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         engine = ServingEngine(
             indexes,
-            cache_size=args.cache_size or None,
             injector=_chaos_injector(args.chaos_seed),
-            plane=compile_plane(indexes) if args.plane else None,
+            plane=compile_plane(indexes),
         )
         return _run_server(
             engine,
@@ -925,7 +909,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 name: CompiledIndex.compile(database)
                 for name, database in sorted(databases.items())
             }
-            plane = compile_plane(indexes) if args.plane else None
+            plane = compile_plane(indexes)
             record = store.publish(
                 indexes,
                 plane,
@@ -938,10 +922,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ServeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        suffix = ", with answer plane" if plane is not None else ""
         print(
             f"published generation {record.generation} to {args.store}"
-            f" ({len(indexes)} vendors{suffix})"
+            f" ({len(indexes)} vendors, with answer plane)"
         )
         return 0
 

@@ -5,7 +5,7 @@ connection logs, access logs, traceroute hops — with geolocation and
 whois data.  This module synthesizes that traffic shape: a deterministic,
 infinite stream of traceroute/flow/access-log events whose addresses are
 drawn from a :class:`~repro.loadgen.workload.ZipfWorkload`, so the
-serving cache and answer plane see the same popularity skew a real
+whois cache and answer plane see the same popularity skew a real
 deployment would.
 
 Determinism is the whole design: one ``random.Random(seed)`` drives the

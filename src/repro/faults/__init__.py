@@ -1,7 +1,7 @@
 """Fault injection for the serving layer: break it on purpose, on a seed.
 
 Production geolocation serving degrades constantly — snapshots rot
-(Gouel et al.), backends stall, caches churn — and the ROADMAP's
+(Gouel et al.), backends error and stall — and the ROADMAP's
 "heavy traffic" goal requires the system to *fail closed*: a fault may
 cost coverage or latency, never an unflagged wrong answer.  This
 package supplies the controlled failures that contract is proved
@@ -12,9 +12,9 @@ against:
   the exhaustive sweep and :func:`default_chaos_specs` for the
   ``repro serve --chaos-seed`` drill mix;
 * :mod:`repro.faults.inject` — :class:`FaultInjector`, the seeded
-  engine that wraps compiled indexes (:class:`FaultyIndex`) and the
-  serving cache (:class:`ChaoticCache`) and sabotages ``.rgix``
-  snapshot bytes on disk; every decision derives from the one seed.
+  engine that wraps compiled indexes (:class:`FaultyIndex`) and
+  sabotages ``.rgix`` snapshot bytes on disk; every decision derives
+  from the one seed.
 
 :class:`StoreFaultKind` extends the matrix to the snapshot-store
 lifecycle plane (partial manifest, rotten payload, missing plane file)
@@ -27,7 +27,6 @@ serving layer executes its unmodified hot path.
 """
 
 from repro.faults.inject import (
-    ChaoticCache,
     FaultInjector,
     FaultyIndex,
     InjectedFault,
@@ -44,7 +43,6 @@ from repro.faults.matrix import (
 )
 
 __all__ = [
-    "ChaoticCache",
     "FaultInjector",
     "FaultKind",
     "FaultSpec",

@@ -2,7 +2,7 @@
 
 A :class:`FaultInjector` owns a set of armed :class:`FaultSpec`\\ s and a
 seed; everything it does — which bit of a snapshot flips, which request
-a vendor error fires on, when the cache storm hits — derives from
+a vendor error fires on, which request stalls — derives from
 ``random.Random`` streams keyed by ``(seed, kind, vendor)``, so a single
 seed reproduces an entire chaos run exactly.
 
@@ -11,9 +11,6 @@ The injector never patches hot-path code.  It *wraps*:
 * :meth:`FaultInjector.wrap_indexes` returns the same mapping with the
   targeted vendors behind :class:`FaultyIndex` proxies (untargeted
   vendors are passed through untouched);
-* :meth:`FaultInjector.wrap_cache` fronts the serving LRU with a
-  :class:`ChaoticCache` that forces eviction storms (a cache fault may
-  cost hit rate, never correctness);
 * :meth:`FaultInjector.sabotage_snapshots` corrupts ``.rgix`` bytes on
   disk, modelling the load-time half of the matrix.
 
@@ -36,7 +33,7 @@ from repro.faults.matrix import (
     StoreFaultKind,
 )
 
-__all__ = ["ChaoticCache", "FaultInjector", "FaultyIndex", "InjectedFault"]
+__all__ = ["FaultInjector", "FaultyIndex", "InjectedFault"]
 
 
 class InjectedFault(RuntimeError):
@@ -130,59 +127,6 @@ class FaultyIndex:
         return f"FaultyIndex({self._base!r}, {armed})"
 
 
-class ChaoticCache:
-    """A serving cache under an eviction storm.
-
-    Before a fraction of ``get`` calls the wrapped cache is cleared —
-    the worst case a real eviction storm (cold restart, hostile key
-    churn, memory pressure) produces.  Every other operation delegates,
-    so the cache stays *correct* under the storm; only its hit rate
-    suffers, which is exactly the degradation being tested.
-    """
-
-    def __init__(
-        self,
-        base,
-        specs: Sequence[FaultSpec],
-        rngs: Sequence[random.Random],
-        *,
-        on_fire: Callable[[FaultSpec, str], None],
-    ):
-        self._base = base
-        self._armed = tuple(zip(specs, rngs))
-        self._on_fire = on_fire
-        self.storms = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._base.capacity
-
-    def get(self, key):
-        for spec, rng in self._armed:
-            if spec.rate < 1.0 and rng.random() >= spec.rate:
-                continue
-            if not self._on_fire(spec, "cache"):
-                continue
-            self.storms += 1
-            self._base.clear()
-        return self._base.get(key)
-
-    def put(self, key, value) -> None:
-        self._base.put(key, value)
-
-    def clear(self) -> None:
-        self._base.clear()
-
-    def stats(self) -> dict[str, float]:
-        return {**self._base.stats(), "storms": self.storms}
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"ChaoticCache({self._base!r}, storms={self.storms})"
-
-
 class FaultInjector:
     """A seeded fault plan plus the machinery to apply it.
 
@@ -245,9 +189,7 @@ class FaultInjector:
         return [
             spec
             for spec in self.specs
-            if spec.kind in RUNTIME_KINDS
-            and spec.kind is not FaultKind.CACHE_EVICT
-            and spec.targets(vendor)
+            if spec.kind in RUNTIME_KINDS and spec.targets(vendor)
         ]
 
     def wrap_indexes(self, indexes: Mapping[str, object]) -> dict[str, object]:
@@ -263,16 +205,6 @@ class FaultInjector:
                 index, specs, rngs, sleep=self._sleep, on_fire=self._on_fire
             )
         return wrapped
-
-    def wrap_cache(self, cache):
-        """``cache`` behind an eviction-storm gate (or unchanged)."""
-        if cache is None:
-            return None
-        specs = [s for s in self.specs if s.kind is FaultKind.CACHE_EVICT]
-        if not specs:
-            return cache
-        rngs = [self._rng(spec.kind.value, "cache") for spec in specs]
-        return ChaoticCache(cache, specs, rngs, on_fire=self._on_fire)
 
     # -- load-time faults ----------------------------------------------------
 

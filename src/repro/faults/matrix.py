@@ -16,11 +16,10 @@ fault kind            what it models
 ``index_missing``     a vendor whose snapshot never arrived
 ``lookup_raise``      a vendor backend erroring at request time
 ``lookup_delay``      a vendor backend stalling (latency spike)
-``cache_evict``       an eviction storm emptying the serving LRU
 ===================== =====================================================
 
 The first four are *load-time* faults (they corrupt bytes before the
-engine boots); the last three are *runtime* faults a
+engine boots); the last two are *runtime* faults a
 :class:`~repro.faults.inject.FaultInjector` fires inside the request
 path.  :func:`full_matrix` expands the kinds against a vendor list —
 the sweep `tests/faults/` runs cell by cell — and
@@ -55,7 +54,6 @@ class FaultKind(enum.Enum):
     INDEX_MISSING = "index_missing"
     LOOKUP_RAISE = "lookup_raise"
     LOOKUP_DELAY = "lookup_delay"
-    CACHE_EVICT = "cache_evict"
 
 
 #: Faults applied to snapshot bytes on disk, before the engine boots.
@@ -70,7 +68,6 @@ SNAPSHOT_KINDS: tuple[FaultKind, ...] = (
 RUNTIME_KINDS: tuple[FaultKind, ...] = (
     FaultKind.LOOKUP_RAISE,
     FaultKind.LOOKUP_DELAY,
-    FaultKind.CACHE_EVICT,
 )
 
 
@@ -157,5 +154,4 @@ def default_chaos_specs(vendors: Sequence[str] | None = None) -> list[FaultSpec]
         specs.append(
             FaultSpec(FaultKind.LOOKUP_DELAY, vendor=vendor, rate=0.05, delay_s=0.01)
         )
-    specs.append(FaultSpec(FaultKind.CACHE_EVICT, rate=0.01))
     return specs

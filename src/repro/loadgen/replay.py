@@ -24,7 +24,7 @@ Mechanics: ``clients`` worker threads each own one persistent
 latencies are kept (a few thousand floats) so the quantiles are exact,
 not estimates.  After the run the driver scrapes ``/statusz`` so every
 report carries the server's own rolling-window view (rps, error rate,
-plane/cache hit ratios) next to the client-side measurements — the two
+plane hit ratio) next to the client-side measurements — the two
 must tell the same story, and the CI replay job asserts they do.
 """
 
@@ -130,7 +130,6 @@ class ReplayReport:
                 f"  server 10s window: rps {rates.get('rps', 0.0):.1f}"
                 f"  error_rate {rates.get('error_rate', 0.0):.4f}"
                 f"  plane_hit {rates.get('plane_hit_ratio', 0.0):.3f}"
-                f"  cache_hit {rates.get('cache_hit_ratio', 0.0):.3f}"
             )
         return "\n".join(lines)
 
@@ -221,7 +220,6 @@ def _scrape_statusz(host: str, port: int, timeout_s: float) -> dict[str, Any] | 
     windows = payload.get("windows", {})
     return {
         "rates": windows.get("rates", {}),
-        "cache": payload.get("cache"),
         "plane": payload.get("plane"),
         "generation": payload.get("generation", {}).get("generation"),
     }

@@ -6,8 +6,7 @@ build on every lookup, rich enough to answer "why was this request slow,
 and which path produced its answer" ("Overconfident Coordinates" argues
 a geolocation system must be able to attribute *how* an answer was made;
 the trace's ``path`` field is exactly that attribution: ``plane``,
-``cache``, ``live``, ``degraded``, or ``mixed`` for a batch that rode
-several).
+``live``, ``degraded``, or ``mixed`` for a batch that rode several).
 
 A :class:`RequestTrace` is created at the HTTP edge (honouring a
 client-sent ``X-Request-Id`` or minting one), threaded through the
@@ -169,9 +168,9 @@ class RequestTrace:
     def note_path(self, path: str) -> None:
         """Attribute this request to a serving path.
 
-        Single lookups set one of ``plane``/``cache``/``live``/
-        ``degraded``; a batch whose addresses rode different paths is
-        honestly ``mixed``.
+        Single lookups set one of ``plane``/``live``/``degraded``; a
+        batch whose addresses rode different paths is honestly
+        ``mixed``.
         """
         if self.path is None or self.path == path:
             self.path = path

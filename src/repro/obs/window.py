@@ -2,7 +2,7 @@
 
 Lifetime counters answer "how much, ever"; an operator watching a live
 server needs "how much, *lately*" — requests per second over the last
-10s, the error rate over the last minute, whether the cache hit ratio
+10s, the error rate over the last minute, whether the plane hit ratio
 just fell off a cliff.  Gouel et al.'s longitudinal study (PAPERS.md) is
 the same observation at database scale: behaviour is a function of time,
 so the telemetry plane must be able to window it.

@@ -237,11 +237,12 @@ def run_longitudinal_churn(
         answers = {}
         consensus = {}
         for addr in probes:
-            flat = engine.lookup(addr)
+            outcome = engine.lookup_outcome(addr)
             answers[addr] = {
-                name: _answer_key(answer) for name, answer in flat.items()
+                name: _answer_key(outcome.answers.get(name))
+                for name in engine.vendor_names()
             }
-            vote = engine.consensus(addr)
+            vote = engine.consensus_of(outcome)
             consensus[addr] = (vote.country, vote.location)
         return answers, consensus
 

@@ -1,4 +1,4 @@
-"""The serving layer: compiled indexes, snapshots, caching, and HTTP.
+"""The serving layer: compiled indexes, snapshots, and HTTP.
 
 The analysis pipeline asks "how accurate are these databases?"; this
 package asks "how do you *serve* them?" — the ROADMAP's production
@@ -18,8 +18,8 @@ north star.  Six pieces:
   (``repro compile`` writes ``*.rgix`` files a server loads at boot;
   header and payload are both digest-protected, so corrupt bytes raise
   :class:`SnapshotError` rather than serving garbage);
-* :mod:`repro.serve.cache` — a bounded, thread-safe LRU in front of the
-  indexes, with hit/miss accounting;
+* :mod:`repro.serve.cache` — a bounded, thread-safe LRU with hit/miss
+  accounting (the whois client's memo);
 * :mod:`repro.serve.engine` / :mod:`repro.serve.http` —
   :class:`ServingEngine` (single, batch, and consensus lookups across
   all vendors) behind a stdlib JSON HTTP API (``repro serve``) that

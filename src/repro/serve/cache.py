@@ -1,11 +1,12 @@
-"""A bounded LRU cache for lookup answers.
+"""A bounded, thread-safe LRU cache for lookup answers.
 
-Router-interface traffic is heavily skewed — a serving fleet sees the
-same interfaces over and over — so a small address-keyed cache absorbs
-most of the probe volume.  The cache is deliberately minimal: a bounded
-:class:`~collections.OrderedDict` behind a lock (the serving engine is
-queried from HTTP handler threads and batch-executor threads
-concurrently), with hit/miss counters the ``/statusz`` endpoint surfaces.
+Router-interface traffic is heavily skewed — the same interfaces come
+up over and over — so a small address-keyed cache absorbs most of the
+repeat volume of a slow backend (the Team Cymru whois client in
+:mod:`repro.net.registry` fronts its registry queries with one).  The
+cache is deliberately minimal: a bounded
+:class:`~collections.OrderedDict` behind a lock (callers query it from
+several worker threads concurrently), with hit/miss counters.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class LruCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, float]:
-        """JSON-ready counter snapshot for ``/statusz``."""
+        """JSON-ready counter snapshot."""
         return {
             "capacity": self.capacity,
             "size": len(self._data),

@@ -2,12 +2,12 @@
 
 A :class:`ServingEngine` is what a deployment actually runs: the four
 vendor tables compiled to :class:`~repro.serve.index.CompiledIndex`
-form, an address-keyed LRU cache in front of them, batch lookup with
-thread fan-out, and a consensus view that reuses the study's own
-majority-vote machinery (:func:`repro.core.majority.majority_of_records`)
-— the §5.1 warning that databases can agree *and* be wrong is exactly
-why the API reports disagreement flags next to the majority answer
-rather than a single merged location.
+form, batch lookup with thread fan-out, and a consensus view that
+reuses the study's own majority-vote machinery
+(:func:`repro.core.majority.majority_of_records`) — the §5.1 warning
+that databases can agree *and* be wrong is exactly why the API reports
+disagreement flags next to the majority answer rather than a single
+merged location.
 
 Since vendors fail in production (see :mod:`repro.faults` for the fault
 matrix this is tested against), every request resolves to a
@@ -35,24 +35,26 @@ injector is armed (the injector's fault gates live in the per-vendor
 probe wrappers, so a chaos engine must run the live path for faults to
 fire at all); the moment anything degrades, requests fall back to the
 live per-vendor resolve path above — the fail-closed contract is
-untouched, it just stops being paid for when nothing is broken.
+untouched, it just stops being paid for when nothing is broken.  So a
+healthy lookup takes one of exactly two paths: the plane when one is
+loaded, the live resolve otherwise.
 
-Since PR 8 every piece of state a lookup touches — indexes, cache,
-plane, per-vendor health — lives inside one :class:`_Generation`
-object, and the engine holds exactly one reference to it.  A lookup
-captures that reference once on entry and never re-reads it, so
-:meth:`ServingEngine.swap` can atomically replace the entire served
-snapshot set under live traffic (Gouel et al.'s longitudinal refresh
-problem) with a single assignment: in-flight lookups finish on the
-generation they started with, new lookups see the new one, and a torn
-or mixed-generation answer is structurally impossible.  The
+Every piece of state a lookup touches — indexes, plane, per-vendor
+health — lives inside one :class:`_Generation` object, and the engine
+holds exactly one reference to it.  A lookup captures that reference
+once on entry and never re-reads it, so :meth:`ServingEngine.swap` can
+atomically replace the entire served snapshot set under live traffic
+(Gouel et al.'s longitudinal refresh problem) with a single
+assignment: in-flight lookups finish on the generation they started
+with, new lookups see the new one, and a torn or mixed-generation
+answer is structurally impossible.  The
 :mod:`repro.serve.store` watcher drives swaps (and rollbacks) from the
 on-disk generation store.
 
 Metrics land in the ``serve.*`` family of the attached
-:class:`~repro.obs.metrics.MetricsRegistry` (lookups, cache hits/misses,
-batch sizes, consensus calls, vendor errors/retries/quarantines,
-generation swaps/rollbacks), with plane traffic split out as
+:class:`~repro.obs.metrics.MetricsRegistry` (lookups, batch sizes,
+consensus calls, vendor errors/retries/quarantines, generation
+swaps/rollbacks), with plane traffic split out as
 ``plane.*`` (hits vs live fallbacks), mirroring how the analysis
 pipeline reports ``geodb.*``.
 """
@@ -72,7 +74,6 @@ from repro.geo.coordinates import GeoPoint
 from repro.geodb.database import GeoDatabase
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.cache import LruCache
 from repro.serve.errors import NoHealthyVendors, ServeError, VendorError
 from repro.serve.index import CompiledIndex, IndexAnswer
 from repro.serve.snapshot import load_index_set
@@ -89,8 +90,6 @@ __all__ = [
 
 #: Batches at least this large fan out across worker threads.
 DEFAULT_BATCH_THRESHOLD = 256
-
-DEFAULT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,18 +172,15 @@ class _Generation:
     A lookup captures ``engine._gen`` exactly once at entry and reads
     only this object afterwards, so a concurrent :meth:`ServingEngine.\
 swap` (one reference assignment) can never hand it another
-    generation's indexes, cache, plane, or health table: in-flight
-    lookups finish on the generation they started with, and every field
-    of their answer comes from that one generation.  The cache and the
-    health table are *per generation* for the same reason — a cached
-    outcome from generation N must never be served by generation N+1.
+    generation's indexes, plane, or health table: in-flight lookups
+    finish on the generation they started with, and every field of
+    their answer comes from that one generation.
     """
 
     __slots__ = (
         "gen_id",
         "source",
         "indexes",
-        "cache",
         "plane",
         "plane_live",
         "health",
@@ -201,7 +197,6 @@ swap` (one reference assignment) can never hand it another
         gen_id: int,
         source: str,
         indexes: Mapping[str, CompiledIndex],
-        cache,
         plane,
         plane_live,
         health: dict[str, _VendorHealth],
@@ -211,7 +206,6 @@ swap` (one reference assignment) can never hand it another
         self.gen_id = gen_id
         self.source = source
         self.indexes = indexes
-        self.cache = cache
         self.plane = plane
         self.plane_live = plane_live
         self.health = health
@@ -244,12 +238,12 @@ class LookupOutcome:
     exactly once across ``errors`` (failed this request, post-retries),
     ``quarantined`` (skipped: circuit open or snapshot missing), and
     ``skipped`` (not probed: the deadline budget ran out).  Treat the
-    containers as read-only — outcomes are shared via the cache.
+    containers as read-only.
 
     ``cell`` is the :class:`~repro.serve.plane.PlaneAnswer` a healthy
-    plane lookup came from (``None`` on the live, degraded, and cache
-    paths), so :meth:`ServingEngine.consensus_of` can reuse the vote the
-    plane tallied at compile time.  It takes no part in equality or
+    plane lookup came from (``None`` on the live and degraded paths), so
+    :meth:`ServingEngine.consensus_of` can reuse the vote the plane
+    tallied at compile time.  It takes no part in equality or
     ``repr``: a plane outcome equals the live outcome for its address.
     """
 
@@ -302,11 +296,11 @@ class ConsensusAnswer:
 class ServingEngine:
     """Concurrent multi-database lookup over compiled indexes.
 
-    Indexes are immutable and shared; the mutable state — the LRU cache
-    and the per-vendor health table — locks internally, so the engine is
-    safe to query from many threads at once (the HTTP layer does exactly
-    that).  Pass a :class:`repro.faults.FaultInjector` as ``injector``
-    to wrap the indexes and cache in its deterministic fault gates; with
+    Indexes are immutable and shared; the mutable state — the per-vendor
+    health table — locks internally, so the engine is safe to query from
+    many threads at once (the HTTP layer does exactly that).  Pass a
+    :class:`repro.faults.FaultInjector` as ``injector`` to wrap the
+    indexes in its deterministic fault gates; with
     ``injector=None`` (the default) the request path is untouched.
 
     The served snapshot set is a *generation* (``generation_id``,
@@ -319,7 +313,6 @@ class ServingEngine:
         self,
         indexes: Mapping[str, CompiledIndex],
         *,
-        cache_size: int | None = DEFAULT_CACHE_SIZE,
         metrics: MetricsRegistry | None = None,
         city_range_km: float = DEFAULT_CITY_RANGE_KM,
         batch_threshold: int = DEFAULT_BATCH_THRESHOLD,
@@ -345,7 +338,6 @@ class ServingEngine:
         self._policy = policy if policy is not None else DEFAULT_POLICY
         self._clock = clock
         self._sleep = sleep
-        self._cache_size = cache_size
         # Generation lifecycle state: one swap at a time, counted, and
         # fenced off after close() so a late watcher poll cannot swap a
         # generation into a dead engine.
@@ -378,8 +370,8 @@ class ServingEngine:
     ) -> _Generation:
         """Assemble one fully-initialised generation, ready to swap in.
 
-        Everything mutable a lookup needs is built fresh here — cache,
-        health table, plane gate — so activating the generation is one
+        Everything mutable a lookup needs is built fresh here — health
+        table, plane gate — so activating the generation is one
         reference assignment with no shared state left behind.
         """
         if not indexes:
@@ -388,9 +380,6 @@ class ServingEngine:
         injector = self._injector
         if injector is not None:
             indexes = injector.wrap_indexes(indexes)
-        cache = LruCache(self._cache_size) if self._cache_size else None
-        if injector is not None:
-            cache = injector.wrap_cache(cache)
         missing = tuple(sorted(set(expected or ()) - set(indexes)))
         health = {
             name: _VendorHealth(self._policy.cooldown_s) for name in indexes
@@ -403,13 +392,12 @@ class ServingEngine:
             self._check_plane(plane, indexes, missing)
         # An armed injector gates faults inside the per-vendor probe
         # wrappers; the plane would route around them, so chaos engines
-        # always run the live path (same spirit as the cache storms).
+        # always run the live path.
         plane_live = plane if injector is None else None
         return _Generation(
             gen_id=gen_id,
             source=source,
             indexes=indexes,
-            cache=cache,
             plane=plane,
             plane_live=plane_live,
             health=health,
@@ -491,8 +479,8 @@ class ServingEngine:
     ) -> int:
         """Atomically replace the served snapshot set under live traffic.
 
-        Builds a fresh :class:`_Generation` (new cache, new health
-        table, plane handshake re-checked) and activates it with a
+        Builds a fresh :class:`_Generation` (new health table, plane
+        handshake re-checked) and activates it with a
         single reference assignment: in-flight lookups finish on the old
         generation, the next lookup sees the new one, and no request can
         ever observe fields from both.  The candidate must serve exactly
@@ -614,7 +602,7 @@ class ServingEngine:
         the current generation.
 
         The store watcher's regression probe baseline: probes the raw
-        indexes directly — no cache, no metrics, no outcome objects — so
+        indexes directly — no plane, no metrics, no outcome objects — so
         a validation pass never distorts the serving counters.
         """
         gen = self._gen
@@ -648,11 +636,6 @@ class ServingEngine:
         )
         if self._injector is not None:
             self._injector.attach_metrics(metrics)
-
-    def cache_stats(self) -> dict[str, float] | None:
-        """The LRU cache's counter snapshot (``None`` when uncached)."""
-        cache = self._gen.cache
-        return cache.stats() if cache is not None else None
 
     def plane_stats(self) -> dict[str, object] | None:
         """The attached answer plane's ``/statusz`` block (``None`` when
@@ -871,19 +854,17 @@ class ServingEngine:
 
         Returns a :class:`LookupOutcome`; raises the typed
         :class:`~repro.serve.errors.NoHealthyVendors` when not a single
-        vendor could answer.  Only non-degraded outcomes enter the
-        cache, so a cached answer is always a fully-healthy one.  With a
-        healthy answer plane attached the outcome comes straight from
-        the precomputed cell — one bisect, no vendor probes, no cache
-        traffic.
+        vendor could answer.  With a healthy answer plane attached the
+        outcome comes straight from the precomputed cell — one bisect,
+        no vendor probes; otherwise every vendor is probed live.
 
         The generation reference is captured exactly once, here: every
-        index probe, cache access, and health check below runs against
-        that one generation even if a swap lands mid-request.
+        index probe and health check below runs against that one
+        generation even if a swap lands mid-request.
 
         ``trace`` (a :class:`~repro.obs.reqtrace.RequestTrace`) records
-        span rows and the path attribution (``plane``/``cache``/
-        ``live``/``degraded``) the HTTP layer surfaces on ``/tracez``;
+        span rows and the path attribution (``plane``/``live``/
+        ``degraded``) the HTTP layer surfaces on ``/tracez``;
         the default ``None`` keeps the hot path untraced.
         """
         parsed = parse_address(address)
@@ -914,29 +895,12 @@ class ServingEngine:
             metrics.inc("serve.lookups")
             if plane is not None:
                 metrics.inc("plane.fallbacks")
-        cache = gen.cache
-        if cache is not None:
-            try:
-                outcome = cache.get(addr)
-            except KeyError:
-                pass
-            else:
-                if metrics is not None:
-                    metrics.inc("serve.cache_hits")
-                if trace is not None:
-                    trace.add("cache.hit", 0.0, address=str(parsed))
-                    trace.note_path("cache")
-                return outcome
-            if metrics is not None:
-                metrics.inc("serve.cache_misses")
         outcome = self._resolve(gen, parsed, addr, trace)
         if not outcome.answers:
             raise NoHealthyVendors(
                 f"no healthy vendor could answer {parsed}:"
                 f" {', '.join(outcome.unavailable()) or 'no vendors'}"
             )
-        if cache is not None and not outcome.degraded:
-            cache.put(addr, outcome)
         return outcome
 
     def lookup_plane(self, address: IPv4Address | str | int):
@@ -947,29 +911,13 @@ class ServingEngine:
         with no outcome or consensus objects constructed per request.
         ``None`` means no plane is attached, a fault injector is armed,
         or some vendor is currently degraded; the caller falls back to
-        :meth:`lookup_outcome` / :meth:`consensus`, which themselves
-        consult the plane when possible.
+        :meth:`lookup_outcome` / :meth:`consensus_of`.
         """
         gen = self._gen
         plane = gen.plane_live
         if plane is None or not gen.healthy:
             return None
         return plane.probe(int(parse_address(address)))
-
-    def lookup(
-        self, address: IPv4Address | str | int
-    ) -> dict[str, IndexAnswer | None]:
-        """Every database's answer (matched prefix + record) for one address.
-
-        The legacy flat shape: one key per served vendor.  A degraded
-        vendor's value is ``None`` here — callers that must distinguish
-        "no coverage" from "unavailable" use :meth:`lookup_outcome`.
-        """
-        return self._flatten(self.lookup_outcome(address))
-
-    def _flatten(self, outcome: LookupOutcome) -> dict[str, IndexAnswer | None]:
-        answers = outcome.answers
-        return {name: answers.get(name) for name in self.vendor_names()}
 
     def outcome_batch(
         self,
@@ -1050,29 +998,6 @@ class ServingEngine:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def lookup_batch(
-        self, addresses: Sequence[IPv4Address | str | int] | Iterable
-    ) -> list[dict[str, IndexAnswer | None]]:
-        """Flat answers for many addresses, in input order (legacy shape).
-
-        A per-address :class:`ServeError` is raised only after the whole
-        batch has drained, so the batch metrics that were already counted
-        (``serve.batch_lookups``, ``serve.batch_size``) always describe
-        work that actually ran; batch callers that want per-item errors
-        use :meth:`outcome_batch`.
-        """
-        results = []
-        error: ServeError | None = None
-        for outcome in self.outcome_batch(addresses):
-            if isinstance(outcome, ServeError):
-                if error is None:
-                    error = outcome
-                continue
-            results.append(self._flatten(outcome))
-        if error is not None:
-            raise error
-        return results
-
     def consensus_of(self, outcome: LookupOutcome) -> ConsensusAnswer:
         """Majority answer plus disagreement/degradation flags for an
         already-resolved outcome (no second lookup pass).
@@ -1114,14 +1039,9 @@ class ServingEngine:
             quorum=vote.voters >= self._policy.quorum_min,
         )
 
-    def consensus(self, address: IPv4Address | str | int) -> ConsensusAnswer:
-        """Majority answer plus cross-database disagreement flags."""
-        return self.consensus_of(self.lookup_outcome(address))
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         gen = self._gen
         return (
             f"ServingEngine({', '.join(gen.indexes)}; gen={gen.gen_id};"
-            f" cache={'off' if gen.cache is None else gen.cache.capacity};"
             f" plane={'off' if gen.plane is None else gen.plane.cell_count})"
         )

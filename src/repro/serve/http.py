@@ -13,21 +13,21 @@ Endpoints (all JSON):
   any vendor is quarantined or missing;
 * ``GET /statusz`` — the full ``serve.*``/``faults.*`` metrics snapshot
   (request and error counters, per-endpoint latency histograms with
-  p50/p99 estimates, rolling-window rates over the last 10s/60s, cache
-  stats) plus the per-vendor quarantine state and the live snapshot
-  generation (id, source, age, swap/rollback counters);
+  p50/p99 estimates, rolling-window rates over the last 10s/60s) plus
+  the answer-plane block, the per-vendor quarantine state and the live
+  snapshot generation (id, source, age, swap/rollback counters);
 * ``GET /metricsz`` — the same registry in Prometheus text exposition
   format (0.0.4), ready for a real scraper;
 * ``GET /tracez`` — span trees for the slowest recent requests, each
-  attributed to the path that produced its answer (``plane``/``cache``/
-  ``live``/``degraded``, ``mixed`` for heterogeneous batches).
+  attributed to the path that produced its answer (``plane``/``live``/
+  ``degraded``, ``mixed`` for heterogeneous batches).
 
 Serving requests (``/lookup``, ``/batch``) are traced: the handler
 honours a client-sent ``X-Request-Id`` (sanitised) or mints one, threads
 the :class:`~repro.obs.reqtrace.RequestTrace` through the engine so
-plane probes / cache hits / per-vendor live probes land as span rows,
-echoes the id in the ``X-Request-Id`` response header and the JSON body,
-and — with ``serve --slow-ms`` — logs a one-line slow-request record to
+plane probes and per-vendor live probes land as span rows, echoes the
+id in the ``X-Request-Id`` response header and the JSON body, and —
+with ``serve --slow-ms`` — logs a one-line slow-request record to
 stderr.  Introspection endpoints carry the
 ``endpoint_class="introspection"`` label on their request/latency
 series, keeping monitoring traffic out of the rolling windows and the
@@ -47,9 +47,10 @@ refused without buffering it.
 
 Built on :class:`http.server.ThreadingHTTPServer` — one thread per
 request, which the engine tolerates because compiled indexes are
-immutable and the cache locks internally.  :meth:`GeoServer.run` installs
-a graceful shutdown path: ``SIGINT``/``KeyboardInterrupt`` drains the
-listener and closes the socket instead of dying mid-response.
+immutable and the vendor health table locks internally.
+:meth:`GeoServer.run` installs a graceful shutdown path:
+``SIGINT``/``KeyboardInterrupt`` drains the listener and closes the
+socket instead of dying mid-response.
 """
 
 from __future__ import annotations
@@ -615,7 +616,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "histograms": metrics.histograms_snapshot(quantiles=True),
                 "families": list(metrics.families()),
                 "windows": self.server.windows_block(),  # type: ignore[attr-defined]
-                "cache": self.engine.cache_stats(),
                 "plane": self.engine.plane_stats(),
                 "generation": self.engine.generation_info(),
                 "vendors": self.engine.health_snapshot(),
@@ -683,9 +683,7 @@ class GeoServer(ThreadingHTTPServer):
         register = self.metrics.track_window
         register("requests", "serve.requests", endpoint_class="serving")
         register("errors", "serve.errors", endpoint_class="serving")
-        register("cache_hits", "serve.cache_hits")
-        register("cache_misses", "serve.cache_misses")
-        for path in ("plane", "cache", "live", "degraded"):
+        for path in ("plane", "live", "degraded"):
             register(f"path_{path}", "serve.path", path=path)
         # Staleness gauges: which snapshot generation is live and how old
         # it is, read from the engine at scrape time (a swap mid-scrape
@@ -699,7 +697,7 @@ class GeoServer(ThreadingHTTPServer):
 
     def windows_block(self) -> dict[str, Any]:
         """The ``/statusz`` rolling-window view: raw per-alias windows
-        plus derived rates (RPS, error rate, hit ratios) per horizon."""
+        plus derived rates (RPS, error rate, plane hit ratio) per horizon."""
         windows = self.metrics.windows_snapshot()
 
         def total(alias: str, span: str) -> float:
@@ -708,8 +706,6 @@ class GeoServer(ThreadingHTTPServer):
         rates: dict[str, dict[str, float]] = {}
         for span in ("10s", "60s"):
             requests = total("requests", span)
-            hits = total("cache_hits", span)
-            misses = total("cache_misses", span)
             rates[span] = {
                 "rps": round(requests / int(span[:-1]), 6),
                 "error_rate": round(
@@ -717,9 +713,6 @@ class GeoServer(ThreadingHTTPServer):
                 ),
                 "plane_hit_ratio": round(
                     total("path_plane", span) / requests if requests else 0.0, 6
-                ),
-                "cache_hit_ratio": round(
-                    hits / (hits + misses) if hits + misses else 0.0, 6
                 ),
             }
         return {"aliases": windows, "rates": rates}

@@ -95,7 +95,7 @@ class PlaneAnswer:
     vendor, ``None`` = healthy-but-no-coverage); the remaining fields are
     the §5.1 consensus the live path would re-derive per request.  Cells
     are shared across every request that lands in their intervals —
-    treat all containers as read-only, exactly like cached outcomes.
+    treat all containers as read-only.
     """
 
     answers: Mapping[str, IndexAnswer | None]

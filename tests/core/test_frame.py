@@ -347,7 +347,6 @@ class TestDegradedEquivalence:
                 for name, database in small_scenario.databases.items()
             },
             injector=injector,
-            cache_size=None,
             policy=ResiliencePolicy(retries=0, quarantine_threshold=1),
         )
         outcome = engine.lookup_outcome(small_scenario.ark_dataset.addresses[0])

@@ -1,19 +1,16 @@
-"""Thread hammer for the serving LRU cache and the engine around it.
+"""Thread hammer for the LRU cache the whois client memoises through.
 
 Correctness under concurrency means two things here: the cache never
 returns another key's value (isolation), and the accounting reconciles
-exactly — every ``get`` is one hit or one miss, and at the engine level
-``serve.lookups == serve.cache_hits + serve.cache_misses``.  A lost
-update or a cross-wired entry shows up as an off-by-anything in these
-totals.
+exactly — every ``get`` is one hit or one miss.  A lost update or a
+cross-wired entry shows up as an off-by-anything in these totals.
 """
 
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs import MetricsRegistry
-from repro.serve import LruCache, ServingEngine
+from repro.serve import LruCache
 
 from tests.faults.conftest import CHAOS_SEED
 
@@ -87,42 +84,3 @@ class TestLruCacheHammer:
 
         assert cache.hits + cache.misses == total_gets
 
-
-class TestEngineHammer:
-    def test_concurrent_lookups_reconcile_with_request_count(
-        self, compiled_indexes, chaos_addresses
-    ):
-        metrics = MetricsRegistry()
-        engine = ServingEngine(
-            compiled_indexes, cache_size=len(chaos_addresses) // 4, metrics=metrics
-        )
-        barrier = threading.Barrier(THREADS)
-
-        def hammer(worker: int) -> int:
-            rng = random.Random(f"{CHAOS_SEED}|engine|{worker}")
-            barrier.wait()
-            lookups = 0
-            for _ in range(OPS_PER_THREAD // 4):
-                addr = chaos_addresses[rng.randrange(len(chaos_addresses))]
-                outcome = engine.lookup_outcome(addr)
-                lookups += 1
-                # Whether this came from the cache or a fresh resolve, it
-                # must be *this* address's pristine answer set.
-                assert int(outcome.address) == addr
-                for name, answer in outcome.answers.items():
-                    assert answer == compiled_indexes[name].probe_answer(addr)
-            return lookups
-
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            total = sum(pool.map(hammer, range(THREADS)))
-
-        assert total == THREADS * (OPS_PER_THREAD // 4)
-        assert metrics.counter("serve.lookups") == total
-        assert (
-            metrics.counter("serve.cache_hits")
-            + metrics.counter("serve.cache_misses")
-            == total
-        )
-        stats = engine.cache_stats()
-        assert stats["hits"] == metrics.counter("serve.cache_hits")
-        assert stats["misses"] >= metrics.counter("serve.cache_misses")

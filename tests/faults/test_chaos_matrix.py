@@ -50,13 +50,12 @@ class FakeClock:
         self.t += seconds
 
 
-def build_engine(indexes, specs, *, policy=None, metrics=None, cache_size=None):
+def build_engine(indexes, specs, *, policy=None, metrics=None):
     """One chaos cell: a seeded injector wrapping a fresh engine."""
     clock = FakeClock()
     injector = FaultInjector(CHAOS_SEED, specs, metrics=metrics, sleep=clock.sleep)
     engine = ServingEngine(
         indexes,
-        cache_size=cache_size,
         metrics=metrics,
         policy=policy,
         injector=injector,
@@ -107,7 +106,6 @@ class TestRuntimeCells:
             engine, injector, _ = build_engine(
                 compiled_indexes,
                 [FaultSpec(kind, vendor=victim, rate=rate, delay_s=0.001)],
-                cache_size=64 if kind is FaultKind.CACHE_EVICT else None,
             )
             summary = assert_fail_closed(engine, compiled_indexes, chaos_addresses)
             assert len(summary) == len(chaos_addresses)
@@ -116,23 +114,6 @@ class TestRuntimeCells:
                 # A single always-failing vendor degrades, never outages.
                 assert "typed-error" not in summary
                 assert all(degraded for degraded, _ in summary)
-
-    def test_cache_evict_storm_costs_hit_rate_not_correctness(
-        self, compiled_indexes, chaos_addresses
-    ):
-        engine, _, _ = build_engine(
-            compiled_indexes,
-            [FaultSpec(FaultKind.CACHE_EVICT, rate=1.0)],
-            cache_size=1024,
-        )
-        # Same addresses twice: a healthy cache would serve round two from
-        # memory; under a full storm every get misses — but answers stay
-        # exactly the pristine ones.
-        assert_fail_closed(engine, compiled_indexes, chaos_addresses)
-        assert_fail_closed(engine, compiled_indexes, chaos_addresses)
-        stats = engine.cache_stats()
-        assert stats["storms"] > 0
-        assert stats["hits"] == 0
 
     def test_delay_faults_change_nothing_without_a_deadline(
         self, compiled_indexes, chaos_addresses
@@ -294,9 +275,7 @@ class TestSnapshotCells:
             CHAOS_SEED, [FaultSpec(FaultKind.INDEX_MISSING, vendor=victim)]
         )
         injector.sabotage_snapshots(root)
-        engine = ServingEngine.from_snapshot_dir(
-            root, expected=sorted(compiled_indexes), cache_size=None
-        )
+        engine = ServingEngine.from_snapshot_dir(root, expected=sorted(compiled_indexes))
         assert engine.degraded
         assert victim in engine.vendor_names()
         assert engine.health_snapshot()[victim]["state"] == "missing"
@@ -332,7 +311,6 @@ class TestPlaneInterplay:
             )
             engine = ServingEngine(
                 compiled_indexes,
-                cache_size=None,
                 metrics=metrics,
                 injector=injector,
                 plane=plane,
@@ -359,7 +337,6 @@ class TestPlaneInterplay:
         clock = FakeClock()
         engine = ServingEngine(
             compiled_indexes,
-            cache_size=None,
             metrics=metrics,
             plane=answer_plane,
             policy=ResiliencePolicy(retries=0, quarantine_threshold=1, cooldown_s=5.0),
@@ -405,9 +382,7 @@ class TestDeterminism:
         specs = default_chaos_specs(sorted(compiled_indexes))
 
         def one_run():
-            engine, injector, _ = build_engine(
-                compiled_indexes, specs, cache_size=256
-            )
+            engine, injector, _ = build_engine(compiled_indexes, specs)
             return (
                 assert_fail_closed(engine, compiled_indexes, chaos_addresses),
                 injector.fired,

@@ -217,7 +217,7 @@ class TestOutage:
         """With every vendor raising, /lookup is a typed 503 — never a
         200 full of fabricated answers — and /healthz says degraded."""
         injector = FaultInjector(CHAOS_SEED, [FaultSpec(FaultKind.LOOKUP_RAISE)])
-        engine = ServingEngine(compiled_indexes, injector=injector, cache_size=None)
+        engine = ServingEngine(compiled_indexes, injector=injector)
         server = GeoServer(engine, port=0, metrics=MetricsRegistry())
         server.start_background()
         try:
@@ -249,7 +249,7 @@ class TestOutage:
 
     def test_batch_inlines_outage_per_item(self, compiled_indexes):
         injector = FaultInjector(CHAOS_SEED, [FaultSpec(FaultKind.LOOKUP_RAISE)])
-        engine = ServingEngine(compiled_indexes, injector=injector, cache_size=None)
+        engine = ServingEngine(compiled_indexes, injector=injector)
         server = GeoServer(engine, port=0, metrics=MetricsRegistry())
         server.start_background()
         try:

@@ -23,7 +23,11 @@ def store(tmp_path):
 
 
 def flat_answers(engine, addresses):
-    return [engine.lookup(addr) for addr in addresses]
+    flat = []
+    for addr in addresses:
+        answers = engine.lookup_outcome(addr).answers
+        flat.append({name: answers.get(name) for name in engine.vendor_names()})
+    return flat
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS, ids=lambda k: k.value)

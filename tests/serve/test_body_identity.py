@@ -4,7 +4,7 @@ The HTTP layer assembles serving bodies from per-record JSON fragments
 instead of dumping a payload dict.  These tests pin the result to the
 definition it replaced: every body must equal ``json.dumps(payload,
 sort_keys=True)`` of the payload dict the handlers used to build, on
-every serving path — healthy plane, live (plus its cache), one
+every serving path — healthy plane, live, one
 quarantined vendor, and a vendor missing at load time — and for
 covered, uncovered, disagreement, non-ASCII, and error addresses.
 """

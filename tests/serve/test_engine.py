@@ -47,33 +47,18 @@ def three_vendor_databases():
 class TestLookup:
     def test_answers_match_the_databases(self, small_scenario, engine):
         for address in small_scenario.ark_dataset.addresses[:200]:
-            answers = engine.lookup(address)
+            answers = engine.lookup_outcome(address).answers
             assert set(answers) == set(small_scenario.databases)
             for name, database in small_scenario.databases.items():
                 expected = database.lookup(address)
                 got = answers[name]
                 assert (got.record if got is not None else None) == expected
 
-    def test_cache_serves_repeats(self, compiled_indexes):
-        metrics = MetricsRegistry()
-        engine = ServingEngine(compiled_indexes, cache_size=8, metrics=metrics)
-        first = engine.lookup("41.0.0.2")
-        second = engine.lookup("41.0.0.2")
-        assert first == second
-        assert metrics.counter("serve.cache_hits") == 1
-        assert metrics.counter("serve.cache_misses") == 1
-        assert engine.cache_stats()["hits"] == 1
-
-    def test_cache_can_be_disabled(self, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, cache_size=None)
-        assert engine.cache_stats() is None
-        assert engine.lookup("41.0.0.2") == engine.lookup("41.0.0.2")
-
     def test_invalid_address_raises_before_any_metrics(self, compiled_indexes):
         metrics = MetricsRegistry()
         engine = ServingEngine(compiled_indexes, metrics=metrics)
         with pytest.raises(ValueError, match="not an IPv4 address"):
-            engine.lookup("not-an-ip")
+            engine.lookup_outcome("not-an-ip")
         assert metrics.counter("serve.lookups") == 0
 
     def test_needs_at_least_one_index(self):
@@ -86,38 +71,34 @@ class TestBatch:
         self, small_scenario, engine
     ):
         addresses = list(small_scenario.ark_dataset.addresses[:50])
-        results = engine.lookup_batch(addresses)
+        results = engine.outcome_batch(addresses)
         assert len(results) == len(addresses)
         for address, result in zip(addresses, results):
-            assert result == engine.lookup(address)
+            assert result == engine.lookup_outcome(address)
 
     def test_large_batch_fans_out_identically(self, small_scenario, compiled_indexes):
         addresses = list(small_scenario.ark_dataset.addresses)
-        threaded = ServingEngine(
-            compiled_indexes, batch_threshold=10, max_workers=4, cache_size=None
-        )
-        inline = ServingEngine(
-            compiled_indexes, batch_threshold=10**9, cache_size=None
-        )
-        assert threaded.lookup_batch(addresses) == inline.lookup_batch(addresses)
+        threaded = ServingEngine(compiled_indexes, batch_threshold=10, max_workers=4)
+        inline = ServingEngine(compiled_indexes, batch_threshold=10**9)
+        assert threaded.outcome_batch(addresses) == inline.outcome_batch(addresses)
 
     def test_batch_metrics(self, compiled_indexes):
         metrics = MetricsRegistry()
         engine = ServingEngine(compiled_indexes, metrics=metrics)
-        engine.lookup_batch(["41.0.0.2", "41.0.0.3"])
+        engine.outcome_batch(["41.0.0.2", "41.0.0.3"])
         assert metrics.counter("serve.batch_lookups") == 1
         snapshot = metrics.histograms_snapshot()
         assert snapshot["serve.batch_size"]["max"] == 2
 
     def test_empty_batch(self, engine):
-        assert engine.lookup_batch([]) == []
+        assert engine.outcome_batch([]) == []
 
-    def test_failing_batch_drains_before_raising_and_counts_once(
+    def test_failing_address_is_inlined_after_the_batch_drains(
         self, compiled_indexes
     ):
         """A mid-batch ServeError must not abandon the rest of the batch:
-        the error is raised only after every address resolved, so the
-        batch metrics that were counted describe work that really ran."""
+        it comes back in its slot as a value, every later address still
+        resolves, and the batch is counted exactly once."""
         poison = int.from_bytes(bytes([41, 0, 0, 3]), "big")
         poisoned = {
             name: PoisonedIndex(index, poison)
@@ -126,22 +107,20 @@ class TestBatch:
         metrics = MetricsRegistry()
         engine = ServingEngine(
             poisoned,
-            cache_size=None,
             metrics=metrics,
             policy=ResiliencePolicy(retries=0, quarantine_threshold=100),
         )
         tail = int.from_bytes(bytes([41, 0, 0, 4]), "big")
-        with pytest.raises(NoHealthyVendors):
-            engine.lookup_batch(["41.0.0.2", "41.0.0.3", "41.0.0.4"])
+        results = engine.outcome_batch(["41.0.0.2", "41.0.0.3", "41.0.0.4"])
+        assert isinstance(results[1], NoHealthyVendors)
+        assert not results[0].degraded and not results[2].degraded
         assert metrics.counter("serve.batch_lookups") == 1
         assert metrics.histograms_snapshot()["serve.batch_size"]["max"] == 3
         # The address *after* the poisoned one was still resolved.
         assert all(tail in index.probed for index in poisoned.values())
 
     def test_large_batches_reuse_one_pool(self, small_scenario, compiled_indexes):
-        engine = ServingEngine(
-            compiled_indexes, batch_threshold=4, max_workers=2, cache_size=None
-        )
+        engine = ServingEngine(compiled_indexes, batch_threshold=4, max_workers=2)
         assert engine._pool is None  # lazy: no threads until a large batch
         addresses = list(small_scenario.ark_dataset.addresses[:16])
         engine.outcome_batch(addresses)
@@ -154,16 +133,14 @@ class TestBatch:
     def test_close_is_idempotent_and_the_engine_stays_usable(
         self, small_scenario, compiled_indexes
     ):
-        engine = ServingEngine(
-            compiled_indexes, batch_threshold=4, max_workers=2, cache_size=None
-        )
+        engine = ServingEngine(compiled_indexes, batch_threshold=4, max_workers=2)
         addresses = list(small_scenario.ark_dataset.addresses[:12])
         engine.outcome_batch(addresses)
         engine.close()
         engine.close()
         assert engine._pool is None
         # A later batch simply recreates the pool.
-        results = engine.lookup_batch(addresses)
+        results = engine.outcome_batch(addresses)
         assert len(results) == len(addresses)
         engine.close()
 
@@ -171,7 +148,7 @@ class TestBatch:
 class TestConsensus:
     def test_majority_wins_and_disagreement_is_flagged(self):
         engine = ServingEngine.from_databases(three_vendor_databases())
-        consensus = engine.consensus("198.51.100.7")
+        consensus = engine.consensus_of(engine.lookup_outcome("198.51.100.7"))
         assert consensus.country == "US"
         assert consensus.country_votes == 2
         assert consensus.voters == 3
@@ -191,14 +168,15 @@ class TestConsensus:
             if all(r is not None and r.country for r in records) and len(
                 {r.country for r in records}
             ) == 1:
-                consensus = engine.consensus(address)
+                consensus = engine.consensus_of(engine.lookup_outcome(address))
                 assert consensus.country == records[0].country
                 assert not consensus.country_disagreement
                 return
         pytest.fail("no unanimous address in the scenario")
 
     def test_uncovered_address_has_no_quorum(self, engine):
-        consensus = engine.consensus("240.0.0.1")  # reserved space: no coverage
+        # Reserved space: no vendor covers it.
+        consensus = engine.consensus_of(engine.lookup_outcome("240.0.0.1"))
         assert consensus.voters == 0
         assert consensus.country is None
         assert not consensus.country_disagreement
@@ -211,7 +189,7 @@ class TestConsensus:
 
         for address in small_scenario.ark_dataset.addresses[:100]:
             vote = majority_location(address, small_scenario.databases)
-            consensus = engine.consensus(address)
+            consensus = engine.consensus_of(engine.lookup_outcome(address))
             assert consensus.country == vote.country
             assert consensus.location == vote.location
             assert consensus.voters == vote.voters

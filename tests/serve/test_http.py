@@ -90,7 +90,7 @@ class TestEndpoints:
         assert "serve" in body["families"]
         assert any(name.startswith("serve.requests") for name in body["counters"])
         assert any(name.startswith("serve.latency_ms") for name in body["histograms"])
-        assert body["cache"]["capacity"] > 0
+        assert "cache" not in body
 
     def test_statusz_without_plane_reports_null(self, server):
         _, body = get(server, "/statusz")
@@ -171,8 +171,8 @@ class TestTelemetry:
         assert {"trace_id", "endpoint", "path", "status", "duration_ms",
                 "spans"} <= set(trace)
         paths = {t["path"] for t in body["slowest"]}
-        # This server runs live (no plane): lookups resolve or hit cache.
-        assert paths <= {"live", "cache", "degraded", "mixed", None}
+        # This server runs live (no plane): every lookup resolves.
+        assert paths <= {"live", "degraded", "mixed", None}
         resolved = [
             t for t in body["slowest"]
             if t["spans"] and t["spans"][0]["name"] in ("resolve", "batch")
@@ -201,8 +201,8 @@ class TestTelemetry:
         assert {"aliases", "rates"} <= set(windows)
         assert windows["aliases"]["requests"]["10s"]["total"] >= 1
         for span in ("10s", "60s"):
-            assert {"rps", "error_rate", "plane_hit_ratio",
-                    "cache_hit_ratio"} <= set(windows["rates"][span])
+            assert set(windows["rates"][span]) == {
+                "rps", "error_rate", "plane_hit_ratio"}
         assert windows["rates"]["10s"]["rps"] > 0
 
     def test_statusz_histograms_carry_quantiles(self, server):
@@ -313,7 +313,7 @@ class TestLifecycle:
         rebound.server_close()
 
     def test_stop_shuts_down_the_engine_batch_pool(self, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, batch_threshold=2, cache_size=None)
+        engine = ServingEngine(compiled_indexes, batch_threshold=2)
         server = GeoServer(engine, port=0)
         server.start_background()
         post(server, "/batch", {"ips": ["41.0.0.2", "41.0.0.3", "41.0.0.4"]})

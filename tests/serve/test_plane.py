@@ -27,13 +27,13 @@ from repro.serve.engine import ResiliencePolicy
 
 @pytest.fixture(scope="module")
 def live_engine(compiled_indexes):
-    """The reference: no plane, no cache — every lookup resolves live."""
-    return ServingEngine(compiled_indexes, cache_size=None)
+    """The reference: no plane — every lookup resolves live."""
+    return ServingEngine(compiled_indexes)
 
 
 @pytest.fixture(scope="module")
 def plane_engine(compiled_indexes, answer_plane):
-    return ServingEngine(compiled_indexes, cache_size=None, plane=answer_plane)
+    return ServingEngine(compiled_indexes, plane=answer_plane)
 
 
 class TestEquivalence:
@@ -53,7 +53,8 @@ class TestEquivalence:
     ):
         for address in probe_addresses[::17]:
             live = live_engine.consensus_of(live_engine.lookup_outcome(address))
-            assert plane_engine.consensus(address) == live
+            plane = plane_engine.lookup_outcome(address)
+            assert plane_engine.consensus_of(plane) == live
 
     def test_merged_boundaries_flip_exactly_where_live_flips(
         self, live_engine, plane_engine, answer_plane
@@ -124,7 +125,6 @@ class TestCellReference:
         metrics = MetricsRegistry()
         engine = ServingEngine(
             compiled_indexes,
-            cache_size=None,
             metrics=metrics,
             plane=answer_plane if with_plane else None,
         )
@@ -133,23 +133,14 @@ class TestCellReference:
         for calls in (1, 2, 3):
             engine.consensus_of(outcome)
             assert metrics.counter("serve.consensus") == calls
-        engine.consensus("41.0.0.3")
+        engine.consensus_of(engine.lookup_outcome("41.0.0.3"))
         assert metrics.counter("serve.consensus") == 4
         assert metrics.counter("serve.lookups") == 2
         assert metrics.counter("plane.hits") == (2 if with_plane else 0)
 
-    def test_cached_outcome_has_no_cell(self, compiled_indexes):
-        metrics = MetricsRegistry()
-        engine = ServingEngine(compiled_indexes, metrics=metrics)
-        engine.lookup_outcome("41.0.0.2")
-        cached = engine.lookup_outcome("41.0.0.2")
-        assert metrics.counter("serve.cache_hits") == 1
-        assert cached.cell is None
-
     def test_degraded_outcome_has_no_cell(self, compiled_indexes, answer_plane):
         engine = ServingEngine(
             compiled_indexes,
-            cache_size=None,
             plane=answer_plane,
             policy=ResiliencePolicy(cooldown_s=3600.0, cooldown_max_s=3600.0),
         )
@@ -214,7 +205,6 @@ class TestDegradedBypass:
         metrics = MetricsRegistry()
         engine = ServingEngine(
             compiled_indexes,
-            cache_size=None,
             metrics=metrics,
             plane=answer_plane,
         )
@@ -251,7 +241,6 @@ class TestDegradedBypass:
         engine = ServingEngine.from_snapshot_dir(
             root,
             expected=sorted(compiled_indexes),
-            cache_size=None,
             metrics=metrics,
             plane=answer_plane,
         )
@@ -289,9 +278,7 @@ class TestPersistence:
         self, compiled_indexes, answer_plane, live_engine, tmp_path, probe_addresses
     ):
         path = save_plane(answer_plane, tmp_path / "plane.rgpl")
-        engine = ServingEngine(
-            compiled_indexes, cache_size=None, plane=load_plane(path)
-        )
+        engine = ServingEngine(compiled_indexes, plane=load_plane(path))
         for address in probe_addresses[::41]:
             assert engine.lookup_outcome(address) == live_engine.lookup_outcome(
                 address

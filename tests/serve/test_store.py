@@ -36,13 +36,15 @@ def probe_sample(probe_addresses):
 
 def flat_answers(engine, addresses):
     """Per-address serialized answers — the byte-identity comparator."""
-    return [
-        {
+    flat = []
+    for addr in addresses:
+        answers = engine.lookup_outcome(addr).answers
+        flat.append({
             name: (None if a is None else (a.prefix, a.record))
-            for name, a in engine.lookup(addr).items()
-        }
-        for addr in addresses
-    ]
+            for name in engine.vendor_names()
+            for a in (answers.get(name),)
+        })
+    return flat
 
 
 class TestPublish:
@@ -396,7 +398,7 @@ class TestEngineLifecycle:
         with pytest.raises(ServeError, match="engine is closed"):
             StoreWatcher(store, engine)
         # Reads still work after close — only the lifecycle is frozen.
-        assert engine.lookup("41.0.0.2") is not None
+        assert engine.lookup_outcome("41.0.0.2") is not None
 
 
 class TestGenerationLabelledErrors:

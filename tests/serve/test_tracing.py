@@ -1,9 +1,8 @@
 """Trace threading through the serving engine: span rows per path.
 
 Every request path must attribute itself honestly on the trace —
-``plane`` (precomputed cell), ``cache`` (LRU hit), ``live`` (full
-resolve), ``degraded`` (resolve with vendors missing) — and the span
-rows must stay bounded no matter how large a batch rides one trace.
+``plane`` (precomputed cell), ``live`` (full resolve), ``degraded``
+(resolve with vendors missing) — and the span rows must stay bounded no matter how large a batch rides one trace.
 """
 
 import pytest
@@ -29,7 +28,7 @@ def traced():
 
 class TestLivePath:
     def test_resolve_records_per_vendor_probe_spans(self, compiled_indexes, traced):
-        engine = ServingEngine(compiled_indexes, cache_size=None)
+        engine = ServingEngine(compiled_indexes)
         engine.lookup_outcome("41.0.0.2", trace=traced)
         assert traced.path == "live"
         tree = traced.to_dict()
@@ -40,20 +39,10 @@ class TestLivePath:
         assert all(span["attrs"]["ok"] for span in resolve["children"])
 
     def test_untraced_lookup_matches_traced(self, compiled_indexes, traced):
-        engine = ServingEngine(compiled_indexes, cache_size=None)
+        engine = ServingEngine(compiled_indexes)
         assert engine.lookup_outcome(
             "41.0.0.2", trace=traced
         ) == engine.lookup_outcome("41.0.0.2")
-
-
-class TestCachePath:
-    def test_cache_hit_is_attributed(self, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, cache_size=16)
-        engine.lookup_outcome("41.0.0.2")  # warm
-        trace = RequestTrace("lookup")
-        engine.lookup_outcome("41.0.0.2", trace=trace)
-        assert trace.path == "cache"
-        assert trace.to_dict()["spans"][0]["name"] == "cache.hit"
 
 
 class TestPlanePath:
@@ -103,7 +92,7 @@ class TestPlanePath:
             compiled_indexes, plane=answer_plane, metrics=metrics
         )
         for _ in range(3):
-            engine.consensus("41.0.0.2")
+            engine.consensus_of(engine.lookup_outcome("41.0.0.2"))
         assert metrics.counter("serve.lookups") == 3
         assert metrics.counter("serve.consensus") == 3
         assert metrics.counter("plane.hits") == 3
@@ -113,7 +102,7 @@ class TestDegradedPath:
     def test_failing_vendor_marks_the_trace_degraded(self, compiled_indexes):
         name = next(iter(compiled_indexes))
         indexes = {**compiled_indexes, f"{name}-broken": BoomIndex()}
-        engine = ServingEngine(indexes, cache_size=None)
+        engine = ServingEngine(indexes)
         trace = RequestTrace("lookup")
         outcome = engine.lookup_outcome("41.0.0.2", trace=trace)
         assert outcome.degraded

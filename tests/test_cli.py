@@ -117,17 +117,41 @@ class TestCliServing:
         from repro.serve import ServingEngine, load_index_set, load_plane
 
         plane = load_plane(target / "plane.rgpl")
-        engine = ServingEngine(
-            load_index_set(target), plane=plane, cache_size=None
-        )
+        engine = ServingEngine(load_index_set(target), plane=plane)
         assert engine.plane_stats()["active"] is True
         assert engine.lookup_plane("1.2.3.4") is not None
 
-    def test_compile_no_plane_skips_it(self, tmp_path, capsys):
+    def test_serve_without_plane_file_announces_live_fallback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A snapshot directory with no plane.rgpl still serves — every
+        lookup on the live path, with the same answers — and says so."""
+        import repro.cli as cli
+        from repro.serve import ServingEngine, load_index_set, load_plane
+
         target = tmp_path / "snapshots"
-        assert main(ARGS + ["compile", str(target), "--no-plane"]) == 0
-        assert "answer plane" not in capsys.readouterr().out
-        assert not (target / "plane.rgpl").exists()
+        assert main(ARGS + ["compile", str(target)]) == 0
+        indexes = load_index_set(target)
+        plane_engine = ServingEngine(
+            indexes, plane=load_plane(target / "plane.rgpl")
+        )
+        (target / "plane.rgpl").unlink()
+        capsys.readouterr()
+
+        served = []
+        monkeypatch.setattr(
+            cli, "_run_server", lambda engine, *a, **k: served.append(engine) or 0
+        )
+        assert main(["serve", "--snapshots", str(target), "--port", "0"]) == 0
+        assert (
+            f"answer plane: none in {target} — every lookup resolves live"
+            in capsys.readouterr().err
+        )
+        (engine,) = served
+        assert engine.plane_stats() is None
+        starts = sorted({s for index in indexes.values() for s in index.parts()[0]})
+        for addr in [*starts[:: max(1, len(starts) // 200)], 0xF0000001]:
+            assert engine.lookup_outcome(addr) == plane_engine.lookup_outcome(addr)
 
     def test_serve_rejects_missing_snapshot_dir(self, tmp_path, capsys):
         assert main(["serve", "--snapshots", str(tmp_path / "absent")]) == 1
@@ -246,16 +270,24 @@ class TestSnapshotCommand:
         assert main(ARGS + ["snapshot", "list", store]) == 0
         assert capsys.readouterr().out.strip().splitlines()[0].startswith("*")
 
-    def test_publish_no_plane(self, tmp_path, capsys):
+    def test_list_labels_a_generation_without_plane(self, tmp_path, capsys):
+        """Generations published without a plane (older stores) still
+        list, labelled so an operator knows they serve live."""
+        from repro.serve import SnapshotStore
+
         store = str(tmp_path / "store")
-        assert main(ARGS + ["snapshot", "publish", store, "--no-plane"]) == 0
+        assert main(ARGS + ["snapshot", "publish", store]) == 0
+        _, indexes, _ = SnapshotStore(store).load(1)
+        SnapshotStore(store).publish(indexes, None)
         capsys.readouterr()
         assert main(ARGS + ["snapshot", "list", store]) == 0
-        assert "no-plane" in capsys.readouterr().out
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].endswith("  plane")
+        assert lines[1].endswith("  no-plane")
 
     def test_rollback_without_history_exits_1(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(ARGS + ["snapshot", "publish", store, "--no-plane"]) == 0
+        assert main(ARGS + ["snapshot", "publish", store]) == 0
         capsys.readouterr()
         assert main(ARGS + ["snapshot", "rollback", store]) == 1
         assert "nothing to roll back" in capsys.readouterr().err
