@@ -10,6 +10,8 @@ delegation registry, and deterministic address enumeration.
 from __future__ import annotations
 
 import ipaddress
+import re
+import socket
 from typing import Iterator
 
 IPv4Address = ipaddress.IPv4Address
@@ -18,6 +20,12 @@ IPv4Network = ipaddress.IPv4Network
 
 class AddressPoolExhaustedError(RuntimeError):
     """Raised when a prefix pool cannot satisfy an allocation request."""
+
+
+#: One octet as :mod:`ipaddress` accepts it: ASCII digits, 0–255, no
+#: leading zero.
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4) + r"\Z")
 
 
 def parse_address(text: str | int | IPv4Address) -> IPv4Address:
@@ -32,6 +40,12 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
     """
     if isinstance(text, IPv4Address):
         return text
+    if isinstance(text, str) and _DOTTED_QUAD.match(text) is not None:
+        # The canonical dotted quad — what every request carries — skips
+        # the ipaddress string parser.  inet_aton is lenient (octal, hex,
+        # short forms) but only ever sees text the pattern proved
+        # canonical; everything else takes the general path below.
+        return IPv4Address(int.from_bytes(socket.inet_aton(text), "big"))
     try:
         return ipaddress.IPv4Address(text)
     except (ValueError, OverflowError, TypeError) as exc:

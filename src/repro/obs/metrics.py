@@ -16,16 +16,18 @@ Three recording surfaces, ordered by hot-path cost:
   call.  Histograms are log-bucketed (:class:`~repro.obs.quantiles.\
 BucketHistogram`), so every series can answer p50/p99 without changing
   the manifest's summary shape.
-* :meth:`MetricsRegistry.cell` — a pre-resolved :class:`CounterCell` for
-  per-lookup hot paths (the serving engine's plane path): one locked
-  integer add, no key construction, and one cell may feed *several*
-  counters at once (``serve.lookups`` + ``plane.hits`` cost a single
-  add).  Cell values merge into every read path, so callers cannot tell
-  how a counter was fed.
+* :meth:`MetricsRegistry.cell` / :meth:`~MetricsRegistry.observer` —
+  series resolved once for hot paths (the serving engine's plane path,
+  the HTTP edge's per-request series): a :class:`CounterCell` is one
+  locked integer add with no key construction, and one cell may feed
+  *several* counters at once (``serve.lookups`` + ``plane.hits`` cost a
+  single add); an observer is one locked histogram update.  Cell values
+  merge into every read path and feed the same rolling windows, so
+  callers cannot tell how a counter was fed.
 * :meth:`MetricsRegistry.track_window` — attach a
   :class:`~repro.obs.window.RollingWindow` to a counter name (optionally
-  filtered by labels); matching :meth:`inc` calls also land in the
-  window, giving ``/statusz`` rates over the last 10s/60s instead of
+  filtered by labels); matching :meth:`inc` calls and cells also land in
+  the window, giving ``/statusz`` rates over the last 10s/60s instead of
   lifetime totals only.
 
 Instrumented objects hold ``metrics = None`` by default and skip all of
@@ -68,19 +70,25 @@ class CounterCell:
     resolved once at attach time and registered under every counter name
     it feeds, so the hot path pays exactly one uncontended lock and one
     integer add — and the counts stay *exact* (the fault-injection
-    hammer tests reconcile them to the request totals).
+    hammer tests reconcile them to the request totals).  ``windows`` are
+    the rolling windows tracking any of those counters, kept current by
+    the registry whichever of the cell and the window came first.
     """
 
-    __slots__ = ("value", "_lock")
+    __slots__ = ("value", "windows", "_lock")
 
     def __init__(self) -> None:
         self.value = 0
+        self.windows: tuple[RollingWindow, ...] = ()
         self._lock = threading.Lock()
 
     def add(self, value: int = 1) -> None:
-        """Add ``value`` to every counter this cell was registered under."""
+        """Add ``value`` to every counter this cell was registered under
+        and to every window tracking one of them."""
         with self._lock:
             self.value += value
+        for window in self.windows:
+            window.add(value)
 
 
 class _WindowTracker:
@@ -165,18 +173,40 @@ class MetricsRegistry:
 
         Each ``cell.add()`` contributes to all of them at once — the
         hot-path pattern is one cell for ``("serve.lookups",
-        "plane.hits")`` so a plane hit costs a single locked add.  Cells
-        deliberately bypass window tracking: windowed series are fed by
-        request-level :meth:`inc` calls, never per-lookup cells.
+        "plane.hits")`` so a plane hit costs a single locked add.  The
+        windows tracking any of those series are matched here, once, and
+        fed by every add exactly as the matching :meth:`inc` would.
         """
         if not names:
             raise ValueError("a counter cell needs at least one counter name")
         cell = CounterCell()
+        windows: list[RollingWindow] = []
         with self._lock:
             for name in names:
                 key = self._key(name, labels)
                 self._cells.setdefault(key, []).append(cell)
+                for tracker in self._window_index.get(name, ()):
+                    if tracker.matches(key[1]):
+                        windows.append(tracker.window)
+            cell.windows = tuple(windows)
         return cell
+
+    def observer(self, name: str, **labels: Any) -> Callable[[float], None]:
+        """:meth:`observe` for one histogram series, resolved once: the
+        returned callable records a value with one locked update (the
+        series exists, empty, from this call on)."""
+        key = self._key(name, labels)
+        lock = self._lock
+        with lock:
+            histogram = self._histograms.get(key)
+            if histogram is None:
+                histogram = self._histograms[key] = BucketHistogram()
+
+        def observe(value: float) -> None:
+            with lock:
+                histogram.observe(value)
+
+        return observe
 
     # -- gauges --------------------------------------------------------------
 
@@ -237,10 +267,11 @@ class MetricsRegistry:
         """Attach a rolling window to counter ``name`` (idempotent per
         ``alias``; re-registering an alias returns the existing window).
 
-        Only :meth:`inc` calls whose labels are a superset of ``labels``
-        feed the window — the serving layer uses this to keep
+        Only :meth:`inc` calls and cells whose labels are a superset of
+        ``labels`` feed the window — the serving layer uses this to keep
         ``endpoint_class="introspection"`` scrape traffic out of the
-        request-rate windows.
+        request-rate windows.  Cells created before the window are
+        attached to it here.
         """
         with self._lock:
             tracker = self._window_aliases.get(alias)
@@ -252,6 +283,12 @@ class MetricsRegistry:
             )
             self._window_aliases[alias] = tracker
             self._window_index.setdefault(name, []).append(tracker)
+            for (cell_name, cell_labels), cells in self._cells.items():
+                if cell_name == name and tracker.matches(cell_labels):
+                    for cell in cells:
+                        # A fresh tuple: a concurrent add() iterates the
+                        # old one undisturbed.
+                        cell.windows = (*cell.windows, tracker.window)
         return tracker.window
 
     def window(self, alias: str) -> RollingWindow | None:

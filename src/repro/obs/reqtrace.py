@@ -19,12 +19,15 @@ the nested span tree ``/tracez`` serves.
 A :class:`TraceRing` keeps the N slowest *recent* finished traces: a
 fixed-size min-heap keyed on duration, with entries past ``max_age_s``
 evicted lazily — one pathological request from an hour ago must not
-squat the ring forever.
+squat the ring forever.  The ring keeps a lower bound on its residents'
+start times, so admitting a trace is O(1) and the retained set is only
+scanned once some resident may have aged out.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 import uuid
@@ -186,11 +189,6 @@ class RequestTrace:
 
     # -- inspection ----------------------------------------------------------
 
-    @property
-    def age_s(self) -> float:
-        """Seconds since the trace started (monotonic)."""
-        return time.monotonic() - self._mono
-
     def span_count(self) -> int:
         """Span rows actually retained (dropped rows are not counted)."""
         return len(self._spans)
@@ -227,7 +225,7 @@ class RequestTrace:
 class TraceRing:
     """The N slowest recent finished traces, bounded and thread-safe."""
 
-    __slots__ = ("capacity", "max_age_s", "_heap", "_seq", "_lock")
+    __slots__ = ("capacity", "max_age_s", "_heap", "_seq", "_oldest", "_lock")
 
     def __init__(
         self,
@@ -243,15 +241,26 @@ class TraceRing:
         #: trace sits at the root, ready to be displaced.
         self._heap: list[tuple[float, int, RequestTrace]] = []
         self._seq = 0
+        #: No retained trace started (monotonic) before this.  Exact
+        #: after a scan; a displaced trace can leave it low, which costs
+        #: one scan that may evict nothing.
+        self._oldest = math.inf
         self._lock = threading.Lock()
 
     def _evict_stale(self) -> None:
-        # Called under the lock; the ring is tiny, a full filter is fine.
-        if any(t.age_s > self.max_age_s for _, _, t in self._heap):
+        # Called under the lock.  Nothing is stale unless the oldest
+        # possible start is; then filter the (tiny) ring and re-tighten.
+        now = time.monotonic()
+        if now - self._oldest > self.max_age_s:
             self._heap = [
-                entry for entry in self._heap if entry[2].age_s <= self.max_age_s
+                entry
+                for entry in self._heap
+                if now - entry[2]._mono <= self.max_age_s
             ]
             heapq.heapify(self._heap)
+            self._oldest = min(
+                (entry[2]._mono for entry in self._heap), default=math.inf
+            )
 
     def record(self, trace: RequestTrace) -> None:
         """Offer a finished trace; kept only if it is among the slowest."""
@@ -264,6 +273,9 @@ class TraceRing:
                 heapq.heappush(self._heap, entry)
             elif duration > self._heap[0][0]:
                 heapq.heapreplace(self._heap, entry)
+            else:
+                return
+            self._oldest = min(self._oldest, trace._mono)
 
     def slowest(self) -> list[dict[str, Any]]:
         """Retained traces as span trees, slowest first."""
@@ -276,6 +288,7 @@ class TraceRing:
         """Drop every retained trace."""
         with self._lock:
             self._heap.clear()
+            self._oldest = math.inf
 
     def __len__(self) -> int:
         with self._lock:

@@ -38,8 +38,13 @@ unknown route; 405 wrong method on a known route (with ``Allow``); 411
 missing, unparseable, or negative Content-Length; 413 oversized batch
 or request body; 500 unexpected handler error; 503 when no vendor can
 answer (the engine's typed
-:class:`~repro.serve.errors.NoHealthyVendors`).  Every 4xx/5xx
-increments ``serve.errors``.  The declared body length is validated as
+:class:`~repro.serve.errors.NoHealthyVendors`).  A request rejected
+before routing gets the stdlib's status line and HTML body: 400 for a
+malformed request line, 414 for one over 65 536 bytes, 431 for a
+header line over 65 536 bytes or a head over 100 lines, 505 for
+HTTP/2 and later, 501 for a method with no route at all.  Every
+4xx/5xx increments ``serve.errors`` (head-level rejections and 404s
+under ``endpoint="unknown"``).  The declared body length is validated as
 ``0 <= length <= MAX_BODY_BYTES`` *before* any read: a negative length
 must never reach ``rfile.read`` (``read(-n)`` reads to EOF, which hangs
 the worker forever on a keep-alive connection), and a huge one must be
@@ -62,6 +67,7 @@ import threading
 import time
 from email.utils import formatdate
 from http import HTTPStatus
+from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -103,6 +109,87 @@ _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
 def _endpoint_class(endpoint: str) -> str:
     return "introspection" if endpoint in _INTROSPECTION else "serving"
+
+
+# -- request heads -------------------------------------------------------------
+#
+# The stdlib reads the header block with http.client.parse_headers, which
+# runs the whole email.parser over it to build an email.message.Message —
+# the largest attributed layer of a /lookup in the traced ledger.  The
+# server only ever calls .get() on the result, so _read_head keeps exactly
+# the stdlib's reading limits and the answers Message.get gives:
+#
+# * raw lines are read as http.client reads them: each at most 65 536
+#   bytes, at most 100 of them counting the line that ends the block
+#   (a blank line or EOF); past either limit the request gets a 431;
+# * the block is decoded latin-1 and split at CRLF, CR or LF, the line
+#   breaks the email parser splits at;
+# * a line starting with a space or tab continues the open field (and is
+#   dropped when none is open); a ``From `` line or one with an empty
+#   name (``:v``) closes the open field and is dropped; any other line
+#   that is not ``token:`` ends the head — ``Name : v`` included;
+# * a value is its first line after the colon ``lstrip(" \t")``-ed, plus
+#   its continuation lines verbatim, the whole ``rstrip("\r\n")``-ed;
+# * names compare case-insensitively and the first field of a name wins.
+
+_MAX_HEAD_LINE = 65536
+_MAX_HEAD_LINES = 100
+_HEAD_END = (b"\r\n", b"\n", b"")
+_HEAD_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+#: The email parser's field-line pattern: printable ASCII bar the colon.
+_FIELD_NAME = re.compile(r"[\041-\071\073-\176]*:")
+
+
+class _Head(dict):
+    """Header values keyed by lower-cased name; :meth:`get` takes any
+    case, like ``email.message.Message.get``."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return dict.get(self, name.lower(), default)
+
+
+def _read_head(rfile) -> _Head:
+    """Read and parse one request's header block from ``rfile``.
+
+    Raises ``http.client.LineTooLong`` / ``HTTPException`` exactly where
+    ``http.client.parse_headers`` would.
+    """
+    lines = []
+    while True:
+        line = rfile.readline(_MAX_HEAD_LINE + 1)
+        if len(line) > _MAX_HEAD_LINE:
+            raise LineTooLong("header line")
+        lines.append(line)
+        if len(lines) > _MAX_HEAD_LINES:
+            raise HTTPException("got more than %d headers" % _MAX_HEAD_LINES)
+        if line in _HEAD_END:
+            break
+    head = _Head()
+    name = None
+    value: list[str] = []
+    for line in _HEAD_LINE.findall(b"".join(lines).decode("latin-1")):
+        if line[0] in " \t":
+            if name is not None:
+                value.append(line)
+            continue
+        if name is not None:
+            if name not in head:
+                head[name] = "".join(value).rstrip("\r\n")
+            name = None
+        if line.startswith("From "):
+            continue
+        match = _FIELD_NAME.match(line)
+        if match is None:
+            break
+        colon = match.end() - 1
+        if colon:
+            name = line[:colon].lower()
+            value = [line[colon + 1 :].lstrip(" \t")]
+    if name is not None and name not in head:
+        head[name] = "".join(value).rstrip("\r\n")
+    return head
 
 
 # -- precomputed response heads ---------------------------------------------
@@ -191,7 +278,9 @@ def _response_head(
 # (which sorts between ``"longitude"`` and ``"region"``).  The pair is
 # memoized per record — not per plane cell: thousands of cells share a
 # few thousand records — in the served generation's memo, so a hot swap
-# drops the table together with the generation.
+# drops the table together with the generation.  The same memo holds the
+# encoded consensus of every plane cell a request touched (fixed per
+# cell: the plane tallied it at compile time) and the sorted vendor keys.
 
 _ENCODER = json.JSONEncoder(sort_keys=True)
 _encode = _ENCODER.encode
@@ -230,12 +319,25 @@ def _record_fragments(record, memo: dict) -> tuple[str, str, Any]:
     return entry
 
 
-def _answer_keys(engine: ServingEngine) -> list[tuple[str, str]]:
+#: The memo key of the generation's sorted vendor keys; every other key
+#: is the ``id`` of a record or a plane cell.
+_ANSWER_KEYS = "answer-keys"
+
+
+def _answer_keys(engine: ServingEngine, memo: dict) -> list[tuple[str, str]]:
     """``(vendor, '"vendor": ')`` pairs in JSON key order — not the order
     of ``vendor_names()``, which lists missing vendors last."""
-    return [
-        (name, _encode_str(name) + ": ") for name in sorted(engine.vendor_names())
-    ]
+    keys = memo.get(_ANSWER_KEYS)
+    if keys is None:
+        keys = [
+            (name, _encode_str(name) + ": ")
+            for name in sorted(engine.vendor_names())
+        ]
+        # The vendor set is per generation: keep the keys only if no
+        # swap landed since ``memo`` was fetched.
+        if engine.generation_memo() is memo:
+            memo[_ANSWER_KEYS] = keys
+    return keys
 
 
 def _answers_body(
@@ -252,6 +354,17 @@ def _answers_body(
             pre, post, _ = _record_fragments(answer.record, memo)
             parts.append(key + pre + _encode_str(answer.prefix) + post)
     return "{" + ", ".join(parts) + "}"
+
+
+def _consensus_body(consensus: ConsensusAnswer, cell, memo: dict) -> str:
+    """The ``consensus`` object, memoized per plane cell (``cell`` is
+    ``None`` off the plane, where every consensus is encoded afresh)."""
+    if cell is None:
+        return _encode(_consensus_to_json(consensus))
+    entry = memo.get(id(cell))
+    if entry is None:
+        entry = memo[id(cell)] = (_encode(_consensus_to_json(consensus)), cell)
+    return entry[0]
 
 
 def _consensus_to_json(consensus: ConsensusAnswer) -> dict[str, Any]:
@@ -284,6 +397,118 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Per-request stderr chatter is replaced by ``serve.*`` metrics."""
+
+    def parse_request(self) -> bool:
+        """The stdlib request-line and Connection/Expect logic verbatim;
+        only the header block is read by :func:`_read_head` instead of
+        ``http.client.parse_headers``."""
+        self.command = None  # set in case of error on the first line
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1")
+        requestline = requestline.rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if len(words) == 0:
+            return False
+
+        if len(words) >= 3:  # Enough to determine protocol version
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                base_version_number = version.split("/", 1)[1]
+                version_number = base_version_number.split(".")
+                # RFC 2145 section 3.1 says there can be only one "." and
+                #   - major and minor numbers MUST be treated as
+                #      separate integers;
+                #   - HTTP/2.4 is a lower version than HTTP/2.13, which in
+                #      turn is lower than HTTP/12.3;
+                #   - Leading zeros MUST be ignored by recipients.
+                if len(version_number) != 2:
+                    raise ValueError
+                if any(not component.isdigit() for component in version_number):
+                    raise ValueError("non digit in http version")
+                if any(len(component) > 10 for component in version_number):
+                    raise ValueError("unreasonable length http version")
+                version_number = int(version_number[0]), int(version_number[1])
+            except (ValueError, IndexError):
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version
+                )
+                return False
+            if version_number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
+                self.close_connection = False
+            if version_number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    "Invalid HTTP version (%s)" % base_version_number,
+                )
+                return False
+            self.request_version = version
+
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline
+            )
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command
+                )
+                return False
+        self.command, self.path = command, path
+
+        # gh-87389: The purpose of replacing '//' with '/' is to protect
+        # against open redirect attacks possibly triggered if the path starts
+        # with '//' because http clients treat //path as an absolute URI
+        # without scheme (similar to http://path) rather than a path.
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")  # Reduce to a single /
+
+        # Examine the headers and look for a Connection directive.
+        try:
+            self.headers = _read_head(self.rfile)
+        except LineTooLong as err:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err)
+            )
+            return False
+        except HTTPException as err:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers", str(err)
+            )
+            return False
+
+        conntype = self.headers.get("Connection", "")
+        if conntype.lower() == "close":
+            self.close_connection = True
+        elif conntype.lower() == "keep-alive" and self.protocol_version >= "HTTP/1.1":
+            self.close_connection = False
+        # Examine the headers and look for an Expect directive
+        expect = self.headers.get("Expect", "")
+        if (
+            expect.lower() == "100-continue"
+            and self.protocol_version >= "HTTP/1.1"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            if not self.handle_expect_100():
+                return False
+        return True
+
+    def send_error(self, code, message=None, explain=None):
+        """Count a rejection made before routing, then send the stdlib
+        error response.
+
+        The stdlib calls this for a malformed or oversized request line
+        or head (400/414/431/505) and a method with no ``do_*`` (501);
+        every response the handlers send goes through :meth:`_send_body`.
+        """
+        self.server.edge.response("unknown", int(code))  # type: ignore[attr-defined]
+        super().send_error(code, message, explain)
 
     @property
     def engine(self) -> ServingEngine:
@@ -318,25 +543,14 @@ class _Handler(BaseHTTPRequestHandler):
         # request on /statusz and /tracez.  (The old order was masked by
         # Nagle's delay; the single-write path made the race observable.)
         self._status = status
-        endpoint_class = _endpoint_class(endpoint)
-        self.metrics.inc(
-            "serve.requests",
-            endpoint=endpoint,
-            endpoint_class=endpoint_class,
-            status=status,
-        )
-        if status >= 400:
-            self.metrics.inc(
-                "serve.errors", endpoint=endpoint, endpoint_class=endpoint_class
-            )
+        server = self.server
+        server.edge.response(endpoint, status)  # type: ignore[attr-defined]
         if trace is not None:
             trace.finish(status=status)
             # Path attribution is counted once per request, here at the
             # edge — never per lookup on the plane hot path.
-            self.metrics.inc(
-                "serve.path", path=trace.path or "none", endpoint=endpoint
-            )
-            self.server.traces.record(trace)  # type: ignore[attr-defined]
+            server.edge.path(trace.path, endpoint)  # type: ignore[attr-defined]
+            server.traces.record(trace)  # type: ignore[attr-defined]
             self._trace = None
         self.wfile.write(head + body)
 
@@ -375,23 +589,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": f"internal error: {exc}"}, endpoint)
         finally:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            self.metrics.observe(
-                "serve.latency_ms",
-                elapsed_ms,
-                endpoint=endpoint,
-                endpoint_class=_endpoint_class(endpoint),
-            )
+            server.edge.latency(endpoint, elapsed_ms)
             if trace is not None:
                 if self._trace is trace:
                     # No response ever went out (the socket died before
                     # _send_body ran): retain the trace here so the
                     # request is still visible to /tracez.
                     trace.finish(status=self._status)
-                    self.metrics.inc(
-                        "serve.path",
-                        path=trace.path or "none",
-                        endpoint=endpoint,
-                    )
+                    server.edge.path(trace.path, endpoint)
                     server.traces.record(trace)
                 slow_ms = server.slow_ms
                 if slow_ms is not None and elapsed_ms >= slow_ms:
@@ -487,11 +692,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         consensus = engine.consensus_of(outcome)
         degraded = outcome.degraded
+        memo = engine.generation_memo()
         parts = [
             '{"answers": ',
-            _answers_body(_answer_keys(engine), outcome, engine.generation_memo()),
+            _answers_body(_answer_keys(engine, memo), outcome, memo),
             ', "consensus": ',
-            _encode(_consensus_to_json(consensus)),
+            _consensus_body(consensus, outcome.cell, memo),
             ', "degraded": ',
             "true" if degraded else "false",
             ', "degraded_vendors": ',
@@ -565,8 +771,8 @@ class _Handler(BaseHTTPRequestHandler):
         outcomes = engine.outcome_batch(
             [address for _, address in valid], trace=trace
         )
-        keys = _answer_keys(engine)
         memo = engine.generation_memo()
+        keys = _answer_keys(engine, memo)
         for (i, address), outcome in zip(valid, outcomes):
             if isinstance(outcome, ServeError):
                 # A typed serving error is a per-item result too: the
@@ -647,6 +853,85 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+class _EdgeMetrics:
+    """The handler's per-request series, each resolved once per label set.
+
+    ``serve.requests``/``serve.errors``/``serve.path`` are counter cells
+    (which feed their matching rolling windows themselves) and
+    ``serve.latency_ms`` a bound histogram observer, so a request pays
+    no label sorting and no window matching.  Resolution is locked so
+    every label set gets exactly one series object.
+    """
+
+    def __init__(self, metrics: MetricsRegistry):
+        self._metrics = metrics
+        self._series: dict[tuple, Any] = {}
+        self._lock = threading.Lock()
+
+    def _resolve(self, key: tuple, make, name: str, **labels: Any) -> Any:
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                series = self._series[key] = make(name, **labels)
+        return series
+
+    def response(self, endpoint: str, status: int) -> None:
+        """One response: ``serve.requests``, plus ``serve.errors`` on a
+        4xx/5xx."""
+        key = ("requests", endpoint, status)
+        cell = self._series.get(key)
+        if cell is None:
+            cell = self._resolve(
+                key,
+                self._metrics.cell,
+                "serve.requests",
+                endpoint=endpoint,
+                endpoint_class=_endpoint_class(endpoint),
+                status=status,
+            )
+        cell.add()
+        if status >= 400:
+            key = ("errors", endpoint)
+            cell = self._series.get(key)
+            if cell is None:
+                cell = self._resolve(
+                    key,
+                    self._metrics.cell,
+                    "serve.errors",
+                    endpoint=endpoint,
+                    endpoint_class=_endpoint_class(endpoint),
+                )
+            cell.add()
+
+    def path(self, path: str | None, endpoint: str) -> None:
+        """One traced request's serving-path attribution."""
+        key = ("path", path, endpoint)
+        cell = self._series.get(key)
+        if cell is None:
+            cell = self._resolve(
+                key,
+                self._metrics.cell,
+                "serve.path",
+                path=path or "none",
+                endpoint=endpoint,
+            )
+        cell.add()
+
+    def latency(self, endpoint: str, elapsed_ms: float) -> None:
+        """One handler latency observation."""
+        key = ("latency", endpoint)
+        observe = self._series.get(key)
+        if observe is None:
+            observe = self._resolve(
+                key,
+                self._metrics.observer,
+                "serve.latency_ms",
+                endpoint=endpoint,
+                endpoint_class=_endpoint_class(endpoint),
+            )
+        observe(elapsed_ms)
+
+
 class GeoServer(ThreadingHTTPServer):
     """The serving engine bound to a listening socket.
 
@@ -676,10 +961,12 @@ class GeoServer(ThreadingHTTPServer):
         self.slow_ms = slow_ms
         #: The N slowest recent request traces, served on ``/tracez``.
         self.traces = TraceRing(trace_capacity)
+        #: The handler's request/error/path/latency series.
+        self.edge = _EdgeMetrics(self.metrics)
         engine.attach_metrics(self.metrics)
         # Rolling windows behind the registry: serving traffic only
         # (endpoint_class filters keep /statusz scrapes out of their own
-        # numbers), fed by the request-level inc calls.
+        # numbers), fed by the edge's request-level counter cells.
         register = self.metrics.track_window
         register("requests", "serve.requests", endpoint_class="serving")
         register("errors", "serve.errors", endpoint_class="serving")

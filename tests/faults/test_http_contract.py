@@ -2,7 +2,8 @@
 
 Status codes are part of the serving contract: 400 malformed input, 404
 unknown route, 405 wrong verb (with ``Allow``), 411 missing
-Content-Length, 413 oversized batch, 503 total outage — and every
+Content-Length, 413 oversized batch, 503 total outage, and the stdlib's
+400/414/431/505/501 for requests refused before routing — and every
 4xx/5xx increments ``serve.errors``.  These tests speak raw
 ``http.client`` so nothing in a client library papers over a wrong
 code, and they assert the counters moved.
@@ -10,6 +11,7 @@ code, and they assert the counters moved.
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -194,6 +196,92 @@ class TestRouting:
         status, _, _ = raw_request(server, "POST", "/healthz")
         assert status == 405
         assert errors_counted(server, "healthz", at_least=before + 1) == before + 1
+
+
+def raw_exchange(server, data: bytes) -> tuple[list[bytes], bytes]:
+    """Send raw bytes on a fresh socket; return the reply's head lines and
+    body.  Every rejection closes the connection; bytes the server never
+    read may turn that close into a reset, after the reply arrived.
+
+    A request refused before its version was accepted gets the stdlib's
+    HTTP/0.9-style reply: a body with no head at all (``[]``)."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(data)
+        chunks = []
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    reply = b"".join(chunks)
+    if not reply.startswith(b"HTTP/"):
+        return [], reply
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n"), body
+
+
+class TestHeadRejections:
+    """Requests refused before routing keep the stdlib's status line and
+    HTML body, and are counted under ``endpoint="unknown"``."""
+
+    @staticmethod
+    def rejected(server, data: bytes, status: int, *, head: bool = True) -> bytes:
+        requests = dict(endpoint="unknown", endpoint_class="serving", status=status)
+        before_requests = server.metrics.counter("serve.requests", **requests)
+        before_errors = errors_counted(server, "unknown")
+        lines, body = raw_exchange(server, data)
+        if head:
+            assert lines[0].split(b" ", 2)[1] == str(status).encode()
+            assert b"Content-Type: text/html;charset=utf-8" in lines
+            assert b"Connection: close" in lines
+        else:
+            assert lines == []
+        assert body.startswith(b"<!DOCTYPE HTML>")
+        assert b"<p>Error code: %d</p>" % status in body
+        assert (
+            server.metrics.counter("serve.requests", **requests)
+            == before_requests + 1
+        )
+        assert errors_counted(server, "unknown") == before_errors + 1
+        return body
+
+    def test_malformed_request_line_is_400(self, server):
+        body = self.rejected(server, b"GET /lookup x HTTP/1.1\r\n\r\n", 400)
+        assert b"Bad request syntax" in body
+
+    def test_malformed_version_is_400(self, server):
+        body = self.rejected(
+            server, b"GET /lookup HTTP/x.y\r\n\r\n", 400, head=False
+        )
+        assert b"Bad request version" in body
+
+    def test_oversized_request_line_is_414(self, server):
+        line = b"GET /lookup?ip=" + b"1" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        self.rejected(server, line, 414)
+
+    @pytest.mark.parametrize(
+        "head, reason",
+        [
+            (b"X-Pad: 1\r\n" * 101, b"Too many headers"),
+            (b"X-Long: " + b"v" * 70_000 + b"\r\n\r\n", b"Line too long"),
+        ],
+        ids=["101-lines", "70kb-line"],
+    )
+    def test_oversized_head_is_431(self, server, head, reason):
+        body = self.rejected(server, b"GET /lookup HTTP/1.1\r\n" + head, 431)
+        assert reason in body
+
+    def test_http2_request_line_is_505(self, server):
+        body = self.rejected(
+            server, b"GET /lookup HTTP/2.0\r\n\r\n", 505, head=False
+        )
+        assert b"Invalid HTTP version (2.0)" in body
+
+    def test_method_without_a_route_is_501(self, server):
+        body = self.rejected(
+            server, b"PUT /lookup HTTP/1.1\r\nHost: x\r\n\r\n", 501
+        )
+        assert b"Unsupported method" in body
 
 
 class TestLimits:

@@ -66,6 +66,69 @@ class TestParsing:
             parse_address("10.0.0.999")
 
 
+def _reference(text):
+    """``ipaddress.IPv4Address(text)``, or ``None`` where it refuses."""
+    try:
+        return ipaddress.IPv4Address(text)
+    except ValueError:
+        return None
+
+
+_DIGITS = "0123456789"
+#: Octet spellings around the fast path's edges: leading zeros, Unicode
+#: digits (Arabic-Indic, fullwidth, superscript), whitespace, signs, 256+.
+_OCTET_TEXT = st.one_of(
+    st.integers(0, 255).map(str),
+    st.integers(0, 999).map(str),
+    st.integers(0, 255).map(lambda n: "0" + str(n)),
+    st.sampled_from(["", "00", "000", "0255", "256", "1000", "+1", "-1", " 1",
+                     "1 ", "\u0661", "\uff11", "\u00b2", "1\n", "0x1", "01"]),
+    st.text(alphabet=_DIGITS + " \t\u0661\uff10", min_size=1, max_size=4),
+)
+
+
+class TestParseAddressFastPath:
+    """The dotted-quad fast path agrees with ``ipaddress`` everywhere."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_canonical_quad(self, value):
+        text = str(ipaddress.IPv4Address(value))
+        parsed = parse_address(text)
+        assert type(parsed) is ipaddress.IPv4Address
+        assert parsed == ipaddress.IPv4Address(text)
+
+    @given(
+        octets=st.lists(_OCTET_TEXT, min_size=3, max_size=5),
+        pad=st.sampled_from(["", " ", "\t", "\n"]),
+        side=st.sampled_from(["left", "right", "none"]),
+    )
+    def test_generated_text_matches_ipaddress(self, octets, pad, side):
+        text = ".".join(octets)
+        if side == "left":
+            text = pad + text
+        elif side == "right":
+            text = text + pad
+        expected = _reference(text)
+        if expected is None:
+            with pytest.raises(ValueError) as excinfo:
+                parse_address(text)
+            assert str(excinfo.value) == f"not an IPv4 address: {text!r}"
+        else:
+            assert parse_address(text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        ["01.2.3.4", "1.2.3.00", "1.2.3.\u0664", "\uff11.2.3.4", " 1.2.3.4",
+         "1.2.3.4 ", "1.2.3.256", "1..3.4", "1.2.3.", "1.2.3", "1.2.3.4.5",
+         "1.2.3.4\n"],
+    )
+    def test_near_misses_are_refused_with_the_same_message(self, text):
+        assert _reference(text) is None
+        with pytest.raises(ValueError) as excinfo:
+            parse_address(text)
+        assert str(excinfo.value) == f"not an IPv4 address: {text!r}"
+
+
 class TestBlockOf:
     def test_slash24(self):
         assert str(block_of("192.168.5.77")) == "192.168.5.0/24"

@@ -13,6 +13,7 @@ from repro.net.registry import (
     UnallocatedAddressError,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.prom import render_prometheus
 
 
 class TestMetricsRegistry:
@@ -193,6 +194,77 @@ class TestWindowTracking:
         assert snapshot["requests"]["10s"]["total"] == 1.0
         assert metrics.window("requests") is not None
         assert metrics.window("missing") is None
+
+
+SERVING = {"endpoint": "lookup", "endpoint_class": "serving", "status": 200}
+SCRAPE = {"endpoint": "statusz", "endpoint_class": "introspection", "status": 200}
+
+
+class TestCellFedSeries:
+    """A series fed through a cell reads exactly like one fed by ``inc``:
+    counters, rolling windows and exposition — whether the windows were
+    registered before or after the cell."""
+
+    @staticmethod
+    def _fed(feed: str, window_first: bool):
+        metrics = MetricsRegistry()
+
+        def track():
+            clock = lambda: 500.0  # noqa: E731 - one fixed second
+            metrics.track_window(
+                "requests", "serve.requests", clock=clock, endpoint_class="serving"
+            )
+            metrics.track_window("all", "serve.requests", clock=clock)
+            metrics.track_window("errors", "serve.errors", clock=clock)
+
+        if window_first:
+            track()
+        if feed == "cell":
+            serving = metrics.cell("serve.requests", **SERVING).add
+            scrape = metrics.cell("serve.requests", **SCRAPE).add
+        else:
+            serving = lambda: metrics.inc("serve.requests", **SERVING)  # noqa: E731
+            scrape = lambda: metrics.inc("serve.requests", **SCRAPE)  # noqa: E731
+        if not window_first:
+            track()
+        for _ in range(3):
+            serving()
+        scrape()
+        return (
+            metrics.counters_snapshot(),
+            metrics.windows_snapshot(),
+            render_prometheus(metrics),
+        )
+
+    @pytest.mark.parametrize("window_first", [True, False])
+    def test_cell_and_inc_read_the_same(self, window_first):
+        by_inc = self._fed("inc", window_first)
+        by_cell = self._fed("cell", window_first)
+        assert by_cell == by_inc
+        windows = by_cell[1]
+        assert windows["requests"]["10s"]["total"] == 3.0
+        assert windows["all"]["10s"]["total"] == 4.0
+        assert windows["errors"]["10s"]["total"] == 0.0
+
+    def test_multi_name_cell_feeds_each_matching_window_once(self):
+        metrics = MetricsRegistry()
+        lookups = metrics.track_window("lookups", "serve.lookups")
+        cell = metrics.cell("serve.lookups", "plane.hits")
+        hits = metrics.track_window("hits", "plane.hits")
+        cell.add(2)
+        assert (lookups.total(), hits.total()) == (2, 2)
+
+    def test_observer_and_observe_read_the_same(self):
+        labels = {"endpoint": "lookup", "endpoint_class": "serving"}
+        by_observe, by_observer = MetricsRegistry(), MetricsRegistry()
+        observe = by_observer.observer("serve.latency_ms", **labels)
+        for value in (0.2, 1.5, 1.5, 40.0):
+            by_observe.observe("serve.latency_ms", value, **labels)
+            observe(value)
+        assert by_observer.histograms_snapshot(
+            quantiles=True
+        ) == by_observe.histograms_snapshot(quantiles=True)
+        assert render_prometheus(by_observer) == render_prometheus(by_observe)
 
 
 @pytest.fixture()

@@ -1,7 +1,11 @@
 """Per-request traces: span rows, path attribution, the slow-trace ring."""
 
+import time
+from types import SimpleNamespace
+
 import pytest
 
+from repro.obs import reqtrace
 from repro.obs.reqtrace import (
     DEFAULT_MAX_SPANS,
     RequestTrace,
@@ -94,6 +98,19 @@ def finished(duration_ms, endpoint="lookup"):
     return trace
 
 
+def fake_monotonic(monkeypatch):
+    """Point the module's monotonic clock (only its own) at ``now[0]``."""
+    now = [1000.0]
+    monkeypatch.setattr(
+        reqtrace,
+        "time",
+        SimpleNamespace(
+            monotonic=lambda: now[0], perf_counter=time.perf_counter, time=time.time
+        ),
+    )
+    return now
+
+
 class TestTraceRing:
     def test_keeps_the_n_slowest(self):
         ring = TraceRing(capacity=3)
@@ -117,6 +134,34 @@ class TestTraceRing:
         ring.record(finished(1.0))
         durations = [trace["duration_ms"] for trace in ring.slowest()]
         assert durations == [1.0]
+
+    def test_trace_aging_out_while_resident_is_evicted(self, monkeypatch):
+        now = fake_monotonic(monkeypatch)
+        ring = TraceRing(capacity=4, max_age_s=60.0)
+        ring.record(finished(50.0))  # t=1000
+        now[0] = 1030.0
+        ring.record(finished(40.0))  # t=1030
+        now[0] = 1061.0  # the first is 61 s old, the second 31 s
+        ring.record(finished(1.0))
+        assert [t["duration_ms"] for t in ring.slowest()] == [40.0, 1.0]
+        now[0] = 1091.0  # the second ages out with no record in between
+        assert [t["duration_ms"] for t in ring.slowest()] == [1.0]
+
+    def test_displaced_oldest_trace_leaves_eviction_exact(self, monkeypatch):
+        now = fake_monotonic(monkeypatch)
+        ring = TraceRing(capacity=2, max_age_s=60.0)
+        ring.record(finished(1.0))  # t=1000, the oldest: displaced below
+        now[0] = 1010.0
+        ring.record(finished(30.0))  # t=1010
+        now[0] = 1020.0
+        ring.record(finished(20.0))  # t=1020, displaces the 1.0 trace
+        assert len(ring) == 2
+        now[0] = 1065.0  # past the displaced trace's age, nothing stale
+        assert [t["duration_ms"] for t in ring.slowest()] == [30.0, 20.0]
+        now[0] = 1071.0  # only the t=1010 trace is stale
+        assert [t["duration_ms"] for t in ring.slowest()] == [20.0]
+        now[0] = 1081.0
+        assert ring.slowest() == []
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):

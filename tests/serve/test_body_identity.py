@@ -29,6 +29,7 @@ from repro.serve import (
     save_index_set,
 )
 from repro.serve.engine import ResiliencePolicy
+from repro.serve.http import _ANSWER_KEYS
 
 #: Synthetic blocks appended to every vendor: non-ASCII names, JSON
 #: escapes, and a block the vendors disagree on.  198.18.0.0/15 is the
@@ -320,8 +321,17 @@ def test_fragment_memo_is_lazy_per_record_and_dies_with_the_generation(
             for answer in engine.lookup_outcome(ip).answers.values()
             if answer is not None
         }
+        touched = [engine.lookup_outcome(ip).cell for ip in ips]
+        assert all(cell is not None for cell in touched)  # all on the plane
+        cells = {id(cell) for cell in touched}
         memo = engine.generation_memo()
-        assert set(memo) == records  # one entry per distinct record
+        # One entry per distinct record, one per distinct plane cell (its
+        # encoded consensus), and the generation's sorted vendor keys;
+        # every id-keyed entry holds the object its key names.
+        assert set(memo) == records | cells | {_ANSWER_KEYS}
+        assert all(
+            id(entry[-1]) == key for key, entry in memo.items() if key != _ANSWER_KEYS
+        )
         engine.swap(exotic_indexes, exotic_plane)
         assert engine.generation_memo() == {}
         assert engine.generation_memo() is not memo

@@ -335,6 +335,55 @@ class TestLifecycle:
             for sent, received in pool.map(fetch, addresses):
                 assert sent == received
 
+    def test_edge_series_stay_exact_under_contention(self, compiled_indexes):
+        """Handler threads racing to resolve the same fresh label sets
+        get one series each, and no count or window add is lost."""
+        import sys
+        import threading
+
+        metrics = MetricsRegistry()
+        server = GeoServer(ServingEngine(compiled_indexes), port=0, metrics=metrics)
+        edge, threads, rounds = server.edge, 8, 300
+        start = threading.Barrier(threads)
+
+        def hammer():
+            start.wait(timeout=10)
+            for i in range(rounds):
+                edge.response("lookup", (200, 404)[i % 2])
+                edge.path("plane", "lookup")
+                edge.latency("lookup", 1.0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+            server.server_close()
+        total, labels = threads * rounds, {"endpoint": "lookup"}
+        serving = {**labels, "endpoint_class": "serving"}
+        assert metrics.counter("serve.requests", **serving, status=200) == total // 2
+        assert metrics.counter("serve.requests", **serving, status=404) == total // 2
+        assert metrics.counter("serve.errors", **serving) == total // 2
+        assert metrics.counter("serve.path", path="plane", **labels) == total
+        edge_cells = [
+            cells
+            for (name, _), cells in metrics._cells.items()
+            if name in ("serve.requests", "serve.errors", "serve.path")
+        ]
+        assert [len(cells) for cells in edge_cells] == [1] * 4  # one per label set
+        windows = metrics.windows_snapshot()
+        assert windows["requests"]["60s"]["total"] == total
+        assert windows["errors"]["60s"]["total"] == total // 2
+        assert windows["path_plane"]["60s"]["total"] == total
+        (latency,) = metrics.histograms_snapshot().values()
+        assert latency["count"] == total
+
 
 class TestGenerationObservability:
     def test_statusz_reports_the_serving_generation(self, server):
