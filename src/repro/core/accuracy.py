@@ -7,10 +7,10 @@ measured against the ground-truth dataset.  Breakdowns by RIR (§5.2.2,
 Figures 3/5), by country (Figure 4), and by ground-truth source (§5.2.4)
 all reuse the same per-subset evaluator.
 
-Every mapping-level entry point also accepts a prebuilt
-:class:`~repro.core.frame.LookupFrame`; the breakdown evaluators build
-**one** frame over the full ground-truth pool and reuse it for every
-subset, so the whole §5.2 battery costs a single resolution pass.
+Every evaluator reads a :class:`~repro.core.frame.LookupFrame` (a
+prebuilt one, or one built over the ground-truth pool) through one
+per-record scorer cached on the frame, so the whole §5.2 battery costs
+a single resolution pass and a single scoring pass.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.cdf import Ecdf
-from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame, as_frame
+from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame, as_frame, column_frame
 from repro.geo.coordinates import haversine_km
 from repro.geo.rir import RIR
 from repro.geodb.database import GeoDatabase
@@ -71,97 +71,6 @@ class DatabaseAccuracy:
             f"city {self.city_accuracy:6.1%} acc / {self.city_coverage:6.1%} cov   "
             f"(n={self.total})"
         )
-
-
-def _evaluate_column(
-    name: str,
-    frame: LookupFrame,
-    ground_truth: GroundTruthSet,
-    subset: str,
-    city_range_km: float,
-) -> DatabaseAccuracy:
-    """Columnar evaluation: flag tests and interned-id comparisons."""
-    column = frame.column(name)
-    flags = column.flags
-    country_ids = column.country_ids
-    lats = column.lats
-    lons = column.lons
-    country_id_of = frame.countries.id_of
-    position_of = frame.position
-    total = country_covered = country_correct = 0
-    city_covered = city_correct = 0
-    city_errors: list[float] = []
-    for record in ground_truth:
-        total += 1
-        position = position_of(record.address)
-        value = flags[position]
-        if not value:  # no coverage
-            continue
-        if value & HAS_COUNTRY:
-            country_covered += 1
-            country_correct += country_ids[position] == country_id_of(record.country)
-        if value & CITY_LEVEL == CITY_LEVEL:
-            city_covered += 1
-            truth = record.location
-            error = haversine_km(lats[position], lons[position], truth.lat, truth.lon)
-            city_errors.append(error)
-            city_correct += error <= city_range_km
-    return DatabaseAccuracy(
-        database=name,
-        subset=subset,
-        total=total,
-        country_covered=country_covered,
-        country_correct=country_correct,
-        city_covered=city_covered,
-        city_correct=city_correct,
-        city_error_ecdf=Ecdf(city_errors),
-    )
-
-
-def evaluate_database(
-    database: GeoDatabase | str,
-    ground_truth: GroundTruthSet,
-    *,
-    subset: str = "all",
-    city_range_km: float = DEFAULT_CITY_RANGE_KM,
-    frame: LookupFrame | None = None,
-) -> DatabaseAccuracy:
-    """Evaluate one database over one ground-truth set.
-
-    With ``frame`` (covering every ground-truth address) the evaluation
-    reads the pre-resolved columns — ``database`` may then be just the
-    column name.  Without it, the original one-lookup-per-record path
-    runs unchanged.
-    """
-    if frame is not None:
-        name = database if isinstance(database, str) else database.name
-        return _evaluate_column(name, frame, ground_truth, subset, city_range_km)
-    total = country_covered = country_correct = 0
-    city_covered = city_correct = 0
-    city_errors: list[float] = []
-    for record in ground_truth:
-        total += 1
-        answer = database.lookup(record.address)
-        if answer is None:
-            continue
-        if answer.country is not None:
-            country_covered += 1
-            country_correct += answer.country == record.country
-        if answer.has_city and answer.has_coordinates:
-            city_covered += 1
-            error = answer.location.distance_km(record.location)
-            city_errors.append(error)
-            city_correct += error <= city_range_km
-    return DatabaseAccuracy(
-        database=database.name,
-        subset=subset,
-        total=total,
-        country_covered=country_covered,
-        country_correct=country_correct,
-        city_covered=city_covered,
-        city_correct=city_correct,
-        city_error_ecdf=Ecdf(city_errors),
-    )
 
 
 class _AccuracyScorer:
@@ -259,6 +168,25 @@ def _accuracy_scorer(
         return cached
     scorer = frame.stage_cache[key] = _AccuracyScorer(frame, ground_truth, city_range_km)
     return scorer
+
+
+def evaluate_database(
+    database: GeoDatabase | str,
+    ground_truth: GroundTruthSet,
+    *,
+    subset: str = "all",
+    city_range_km: float = DEFAULT_CITY_RANGE_KM,
+    frame: LookupFrame | None = None,
+) -> DatabaseAccuracy:
+    """Evaluate one database over one ground-truth set.
+
+    With ``frame`` (covering every ground-truth address), ``database``
+    may be just the column name; without it, a one-column frame is built
+    over the ground-truth addresses.
+    """
+    name, frame = column_frame(database, ground_truth.addresses(), frame)
+    scorer = _accuracy_scorer(frame, ground_truth, city_range_km)
+    return scorer.evaluate(name, scorer.subset_indices(ground_truth), subset)
 
 
 def evaluate_all(
@@ -400,16 +328,10 @@ def shared_incorrect_analysis(
     Only addresses covered by every subset database participate in the
     shared count; per-database incorrect totals count all their errors.
     """
-    available = databases.names if isinstance(databases, LookupFrame) else databases
-    names = [name for name in subset if name in available]
+    frame = as_frame(databases, ground_truth.addresses())
+    names = [name for name in subset if name in frame.names]
     if len(names) < 2:
         raise ValueError("shared-error analysis needs at least two databases")
-    frame = as_frame(
-        databases
-        if isinstance(databases, LookupFrame)
-        else {name: databases[name] for name in names},
-        ground_truth.addresses(),
-    )
     country_columns = [frame.column(name).country_ids for name in names]
     country_id_of = frame.countries.id_of
     position_of = frame.position

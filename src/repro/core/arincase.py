@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.frame import BLOCK_LEVEL, CITY_LEVEL, LookupFrame
+from repro.core.frame import BLOCK_LEVEL, CITY_LEVEL, LookupFrame, column_frame
 from repro.geo.coordinates import haversine_km
 from repro.geo.rir import RIR
 from repro.geodb.database import GeoDatabase
@@ -70,15 +70,23 @@ class ArinCaseStudy:
         return self.correct_block_level / correct if correct else 0.0
 
 
-def _arin_case_from_frame(
-    name: str,
-    frame: LookupFrame,
+def arin_case_study(
+    database: GeoDatabase | str,
     ground_truth: GroundTruthSet,
     whois: TeamCymruWhois,
-    city_range_km: float,
-    far_km: float,
+    *,
+    city_range_km: float = DEFAULT_CITY_RANGE_KM,
+    far_km: float = FAR_ERROR_KM,
+    frame: LookupFrame | None = None,
 ) -> ArinCaseStudy:
-    """The same dissection off frame columns (no per-record lookups)."""
+    """Compute the §5.2.3 dissection for one database.
+
+    Coverage, city level, block level, and distances all come from frame
+    columns.  With ``frame`` (covering every ground-truth address),
+    ``database`` may be just the column name; without it, a one-column
+    frame is built over the ground-truth addresses.
+    """
+    name, frame = column_frame(database, ground_truth.addresses(), frame)
     column = frame.column(name)
     flags = column.flags
     country_ids = column.country_ids
@@ -127,74 +135,6 @@ def _arin_case_from_frame(
             correct_block += block_level
     return ArinCaseStudy(
         database=name,
-        arin_total=arin_total,
-        arin_non_us=arin_non_us,
-        pulled_to_us=pulled,
-        pulled_city_level=pulled_city,
-        pulled_city_far=pulled_far,
-        us_total=us_total,
-        us_arin_city_covered=us_city_covered,
-        us_arin_city_wrong=us_city_wrong,
-        wrong_block_level=wrong_block,
-        correct_block_level=correct_block,
-    )
-
-
-def arin_case_study(
-    database: GeoDatabase | str,
-    ground_truth: GroundTruthSet,
-    whois: TeamCymruWhois,
-    *,
-    city_range_km: float = DEFAULT_CITY_RANGE_KM,
-    far_km: float = FAR_ERROR_KM,
-    frame: LookupFrame | None = None,
-) -> ArinCaseStudy:
-    """Compute the §5.2.3 dissection for one database.
-
-    With ``frame`` (covering every ground-truth address), ``database``
-    may be just the column name; coverage, city level, block level, and
-    distances all come from the frame's columns.
-    """
-    if frame is not None:
-        name = database if isinstance(database, str) else database.name
-        return _arin_case_from_frame(
-            name, frame, ground_truth, whois, city_range_km, far_km
-        )
-    arin_total = arin_non_us = pulled = pulled_city = pulled_far = 0
-    us_total = 0
-    us_city_covered = us_city_wrong = 0
-    wrong_block = correct_block = 0
-    for record in ground_truth:
-        is_arin = whois.lookup(record.address).registry is RIR.ARIN
-        truly_us = record.country == "US"
-        if truly_us:
-            us_total += 1
-        if not is_arin:
-            continue
-        arin_total += 1
-        entry = database.lookup_entry(record.address)
-        answer = entry.record if entry is not None else None
-        if not truly_us:
-            arin_non_us += 1
-            if answer is not None and answer.country == "US":
-                pulled += 1
-                if answer.has_city and answer.has_coordinates:
-                    pulled_city += 1
-                    if answer.location.distance_km(record.location) > far_km:
-                        pulled_far += 1
-            continue
-        # ARIN addresses genuinely in the US: the block-level dissection.
-        if answer is None or not answer.has_city or not answer.has_coordinates:
-            continue
-        us_city_covered += 1
-        error = answer.location.distance_km(record.location)
-        if error > city_range_km:
-            us_city_wrong += 1
-            wrong_block += entry.is_block_level
-        else:
-            correct_block += entry.is_block_level
-    return ArinCaseStudy(
-        database=database.name,
         arin_total=arin_total,
         arin_non_us=arin_non_us,
         pulled_to_us=pulled,

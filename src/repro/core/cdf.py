@@ -26,7 +26,7 @@ class Ecdf:
         """Value equality: same sorted sample, same CDF.
 
         Makes the report dataclasses that embed an ECDF comparable, which
-        is what the direct-vs-frame equivalence tests assert on.
+        is what the oracle tests assert on.
         """
         if not isinstance(other, Ecdf):
             return NotImplemented

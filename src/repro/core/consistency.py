@@ -11,9 +11,9 @@ Two analyses over the Ark-topo-router population:
   range.  Only addresses with city-level coordinates in *all* databases
   participate (the ~692 K subset).
 
-:func:`consistency_analysis` accepts either a database mapping (resolved
-once into a :class:`~repro.core.frame.LookupFrame` on the fly) or a
-prebuilt frame; the pairwise loops then compare interned country ids and
+:func:`consistency_analysis` reads a
+:class:`~repro.core.frame.LookupFrame` (prebuilt, or resolved once from a
+database mapping); the pairwise loops compare interned country ids and
 coordinate arrays directly — the shared string table makes cross-database
 agreement an integer comparison.
 """
@@ -124,14 +124,12 @@ def consistency_analysis(
     once into a frame — or a prebuilt
     :class:`~repro.core.frame.LookupFrame` covering the addresses.
     """
-    names = sorted(
-        databases.names if isinstance(databases, LookupFrame) else databases
-    )
-    if len(names) < 2:
-        raise ValueError("consistency needs at least two databases")
     pool = list(addresses)
     frame = as_frame(databases, pool)
-    if not isinstance(databases, LookupFrame) and len(pool) == len(frame):
+    names = sorted(frame.names)
+    if len(names) < 2:
+        raise ValueError("consistency needs at least two databases")
+    if frame is not databases and len(pool) == len(frame):
         positions: "range | list[int]" = range(len(frame))
     else:
         positions = frame.positions(pool)
@@ -195,72 +193,5 @@ def consistency_analysis(
         all_agree_compared=all_compared,
         all_agree_count=all_agree,
         city_subset_size=len(city_positions),
-        city_pairs=tuple(city_pairs),
-    )
-
-
-def _consistency_direct(
-    databases: Mapping[str, GeoDatabase],
-    addresses: Iterable[IPv4Address],
-) -> ConsistencyReport:
-    """The original per-address lookup implementation.
-
-    Kept verbatim as the reference path: equivalence tests and the
-    direct-vs-frame pipeline benchmark run it to prove the columnar
-    rewrite changes nothing but the wall time.
-    """
-    if len(databases) < 2:
-        raise ValueError("consistency needs at least two databases")
-    pool = list(addresses)
-    names = sorted(databases)
-    # One lookup pass per database.
-    records = {name: [databases[name].lookup(a) for a in pool] for name in names}
-
-    country_pairs = []
-    for name_a, name_b in itertools.combinations(names, 2):
-        compared = agreeing = 0
-        for rec_a, rec_b in zip(records[name_a], records[name_b]):
-            if rec_a is None or rec_b is None:
-                continue
-            if rec_a.country is None or rec_b.country is None:
-                continue
-            compared += 1
-            agreeing += rec_a.country == rec_b.country
-        country_pairs.append(
-            CountryPairAgreement(name_a, name_b, compared, agreeing)
-        )
-
-    all_compared = all_agree = 0
-    for index in range(len(pool)):
-        countries = [records[name][index].country if records[name][index] else None for name in names]
-        if any(c is None for c in countries):
-            continue
-        all_compared += 1
-        all_agree += len(set(countries)) == 1
-
-    # Figure-1 subset: city-level coordinates in every database.
-    city_indexes = [
-        index
-        for index in range(len(pool))
-        if all(
-            records[name][index] is not None
-            and records[name][index].has_city
-            and records[name][index].has_coordinates
-            for name in names
-        )
-    ]
-    city_pairs = []
-    for name_a, name_b in itertools.combinations(names, 2):
-        distances = [
-            records[name_a][index].location.distance_km(records[name_b][index].location)
-            for index in city_indexes
-        ]
-        city_pairs.append(CityPairDistance(name_a, name_b, Ecdf(distances)))
-
-    return ConsistencyReport(
-        country_pairs=tuple(country_pairs),
-        all_agree_compared=all_compared,
-        all_agree_count=all_agree,
-        city_subset_size=len(city_indexes),
         city_pairs=tuple(city_pairs),
     )

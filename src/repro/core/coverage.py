@@ -5,9 +5,9 @@ reported separately at country and city resolution — §5.1's finding that
 the MaxMind editions cover 99.3% of Ark addresses at country level but
 only 43%/61.6% at city level is a coverage result, not an accuracy one.
 
-Every entry point accepts either raw databases (resolved on the fly) or a
-prebuilt :class:`~repro.core.frame.LookupFrame`, in which case coverage
-is counted straight off the frame's flag column without a single lookup.
+Coverage is counted straight off a :class:`~repro.core.frame.LookupFrame`
+flag column: a prebuilt frame is read as-is, and raw databases are
+resolved into one first.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame, as_frame
+from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame, as_frame, column_frame
 from repro.geodb.database import GeoDatabase
 from repro.net.ip import IPv4Address
 
@@ -66,30 +66,14 @@ def coverage_analysis(
 ) -> CoverageReport:
     """Count country- and city-resolution answers over a population.
 
-    Pass ``frame`` (with ``database`` then being the column name or the
-    database itself) to read the pre-resolved flag column instead of
-    running one lookup per address.
+    With ``frame``, ``database`` may be just the column name; without
+    it, a one-column frame is built over ``addresses``.
     """
-    if frame is not None:
-        name = database if isinstance(database, str) else database.name
-        flags = frame.column(name).flags
-        positions = frame.positions(addresses)
-        return _coverage_from_column(
-            name, map(flags.__getitem__, positions), len(positions)
-        )
-    total = country = city = 0
-    for address in addresses:
-        total += 1
-        record = database.lookup(address)
-        if record is None:
-            continue
-        if record.has_country:
-            country += 1
-        if record.has_city and record.has_coordinates:
-            city += 1
-    return CoverageReport(
-        database=database.name, total=total, country_covered=country, city_covered=city
-    )
+    pool = list(addresses)
+    name, frame = column_frame(database, pool, frame)
+    flags = frame.column(name).flags
+    positions = frame.positions(pool)
+    return _coverage_from_column(name, map(flags.__getitem__, positions), len(positions))
 
 
 def coverage_table(
@@ -104,7 +88,7 @@ def coverage_table(
     """
     pool = list(addresses)
     frame = as_frame(databases, pool)
-    if len(pool) == len(frame) and not isinstance(databases, LookupFrame):
+    if frame is not databases and len(pool) == len(frame):
         # freshly built, positions are exactly 0..n-1 in pool order
         return {
             name: _coverage_from_column(name, frame.column(name).flags, len(frame))

@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from repro.core.frame import HAS_CITY, HAS_COORDS, HAS_COUNTRY, LookupFrame, as_frame
+from repro.core.frame import (
+    HAS_CITY,
+    HAS_COORDS,
+    HAS_COUNTRY,
+    LookupFrame,
+    as_frame,
+    column_frame,
+)
 from repro.geo.coordinates import GeoPoint
 from repro.geo.countries import COUNTRIES, UnknownCountryError
 from repro.geodb.database import GeoDatabase
@@ -69,50 +76,35 @@ def detect_default_coordinates(
 ) -> DefaultCoordinateReport:
     """Scan a database's answers over a population for default coordinates.
 
-    With ``frame``, ``database`` may be just the column name and the scan
-    reads the pre-resolved columns.
+    With ``frame``, ``database`` may be just the column name; without
+    it, a one-column frame is built over ``addresses``.
     """
     if radius_km <= 0:
         raise ValueError(f"radius must be positive: {radius_km!r}")
+    pool = list(addresses)
+    name, frame = column_frame(database, pool, frame)
+    column = frame.column(name)
+    flags = column.flags
+    country_ids = column.country_ids
+    lats = column.lats
+    lons = column.lons
+    country_of = frame.countries.value_of
     with_coords = on_default = city_defaults = 0
-    if frame is not None:
-        name = database if isinstance(database, str) else database.name
-        column = frame.column(name)
-        flags = column.flags
-        country_ids = column.country_ids
-        lats = column.lats
-        lons = column.lons
-        country_of = frame.countries.value_of
-        for position in frame.positions(list(addresses)):
-            value = flags[position]
-            if value & _NEEDED != _NEEDED:
-                continue
-            with_coords += 1
-            if is_default_coordinate(
-                country_of(country_ids[position]),
-                GeoPoint(lats[position], lons[position]),
-                radius_km=radius_km,
-            ):
-                on_default += 1
-                if value & HAS_CITY:
-                    city_defaults += 1
-        return DefaultCoordinateReport(
-            database=name,
-            answers_with_coordinates=with_coords,
-            on_default_coordinates=on_default,
-            city_level_defaults=city_defaults,
-        )
-    for address in addresses:
-        record = database.lookup(address)
-        if record is None or not record.has_coordinates or record.country is None:
+    for position in frame.positions(pool):
+        value = flags[position]
+        if value & _NEEDED != _NEEDED:
             continue
         with_coords += 1
-        if is_default_coordinate(record.country, record.location, radius_km=radius_km):
+        if is_default_coordinate(
+            country_of(country_ids[position]),
+            GeoPoint(lats[position], lons[position]),
+            radius_km=radius_km,
+        ):
             on_default += 1
-            if record.has_city:
+            if value & HAS_CITY:
                 city_defaults += 1
     return DefaultCoordinateReport(
-        database=database.name,
+        database=name,
         answers_with_coordinates=with_coords,
         on_default_coordinates=on_default,
         city_level_defaults=city_defaults,

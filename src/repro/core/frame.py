@@ -24,12 +24,13 @@ and stores the answers as parallel columns keyed by address *position*:
   :class:`~repro.geodb.record.GeoRecord` table, for the few callers that
   need the full record object back.
 
-Every analysis stage (coverage, consistency, accuracy, majority vote,
-defaults, router-level, the ARIN case study) accepts a frame in place of
-its ``Mapping[str, GeoDatabase]`` argument and reads columns instead of
-calling ``GeoDatabase.lookup()`` per address; handed raw databases they
-build a frame on the fly, so every old signature keeps working and every
-answer stays byte-identical to the direct path.
+The frame is the only way an analysis stage (coverage, consistency,
+accuracy, majority vote, defaults, router-level, the ARIN case study)
+reads a database answer.  Table-level stages take a frame or a
+``Mapping[str, GeoDatabase]`` and go through :func:`as_frame`;
+per-database stages take a column name plus ``frame=``, or a single
+:class:`~repro.geodb.database.GeoDatabase`, and go through
+:func:`column_frame`.  Either way the columnar body runs.
 
 Construction optionally fans out across ``workers`` processes (chunked
 over the address pool, ``fork`` start method) and reports ``frame.*``
@@ -38,7 +39,6 @@ metrics plus a ``frame_build`` tracing span when instrumented.
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from bisect import bisect_right
@@ -62,6 +62,7 @@ __all__ = [
     "LookupFrame",
     "StringTable",
     "as_frame",
+    "column_frame",
 ]
 
 #: Flag bits of :attr:`FrameColumn.flags` (one byte per address).
@@ -112,7 +113,7 @@ class StringTable:
 
         The default sentinel (−2) never equals a stored id *or* the
         "absent" id (−1), so ``column_id == table.id_of(x)`` is exactly
-        the string comparison the direct lookup path performs.
+        the comparison ``answer == x`` on the strings.
         """
         if value is None:
             return -1
@@ -623,10 +624,28 @@ def as_frame(
     """``source`` itself when it already is a :class:`LookupFrame`, else a
     frame built from the database mapping over ``addresses``.
 
-    This is the dispatch helper behind every analysis stage's dual
-    signature: stages call it on their first argument and then run the
-    columnar implementation either way.
+    Table-level stages call it on their first argument, so a database
+    mapping and a frame run the same columnar body.
     """
     if isinstance(source, LookupFrame):
         return source
     return LookupFrame.build(source, addresses, workers=workers, tracer=tracer, metrics=metrics)
+
+
+def column_frame(
+    database, addresses: Iterable[IPv4Address | str | int], frame: LookupFrame | None
+) -> tuple[str, LookupFrame]:
+    """The ``(column name, frame)`` a per-database stage reads.
+
+    With ``frame``, ``database`` is a column name or a database named
+    like one.  Without it, ``database`` must be a
+    :class:`~repro.geodb.database.GeoDatabase`, and a one-column frame is
+    built over ``addresses``.  An instrumented database then gets its
+    ``geodb.*`` counters from the frame's mirror, counted over the
+    deduplicated pool rather than once per address occurrence.
+    """
+    if frame is not None:
+        return (database if isinstance(database, str) else database.name), frame
+    if isinstance(database, str):
+        raise TypeError("a column name needs frame=…")
+    return database.name, LookupFrame.build({database.name: database}, addresses)

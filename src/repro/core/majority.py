@@ -15,9 +15,9 @@ databases — and whom it flatters most.
 :func:`majority_location` stays duck-typed over any mapping of objects
 with a ``lookup`` method (the serving layer feeds it compiled indexes);
 the bulk entry points :func:`majority_vote_reference` and
-:func:`score_against_majority` additionally accept a prebuilt
-:class:`~repro.core.frame.LookupFrame` and read its columns instead of
-re-resolving every address per database.
+:func:`score_against_majority` read a
+:class:`~repro.core.frame.LookupFrame` (prebuilt, or built from a
+database mapping) like every other table-level stage.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame
+from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame, as_frame
 from repro.geo.coordinates import GeoPoint, haversine_km
 from repro.geodb.database import GeoDatabase
 from repro.groundtruth.record import GroundTruthSet
@@ -164,28 +164,20 @@ def majority_vote_reference(
 ) -> dict[IPv4Address, MajorityLocation]:
     """The vote's reference location for every address.
 
-    With a :class:`~repro.core.frame.LookupFrame` the per-address answers
-    come from the frame's record columns — no lookups at all.
+    The per-address answers come from the frame's record columns.
     """
-    if isinstance(databases, LookupFrame):
-        frame = databases
-        if len(frame.names) < 2:
-            raise ValueError("a majority vote needs at least two databases")
-        columns = [frame.column(name) for name in frame.names]
-        pool = list(addresses)
-        return {
-            address: _tally(
-                address,
-                [column.record_at(position) for column in columns],
-                city_range_km,
-            )
-            for address, position in zip(pool, frame.positions(pool))
-        }
-    if len(databases) < 2:
+    pool = list(addresses)
+    frame = as_frame(databases, pool)
+    if len(frame.names) < 2:
         raise ValueError("a majority vote needs at least two databases")
+    columns = [frame.column(name) for name in frame.names]
     return {
-        address: majority_location(address, databases, city_range_km=city_range_km)
-        for address in addresses
+        address: _tally(
+            address,
+            [column.record_at(position) for column in columns],
+            city_range_km,
+        )
+        for address, position in zip(pool, frame.positions(pool))
     }
 
 
@@ -196,66 +188,37 @@ def score_against_majority(
     city_range_km: float = DEFAULT_CITY_RANGE_KM,
 ) -> dict[str, MajorityAgreement]:
     """Score each database against the vote (the prior-work metric)."""
-    if isinstance(databases, LookupFrame):
-        frame = databases
-        pool = list(reference)
-        positions = frame.positions(pool)
-        country_id_of = frame.countries.id_of
-        scores = {}
-        for name in frame.names:
-            column = frame.column(name)
-            flags = column.flags
-            country_ids = column.country_ids
-            lats = column.lats
-            lons = column.lons
-            country_compared = country_agreeing = 0
-            city_compared = city_agreeing = 0
-            for address, position in zip(pool, positions):
-                value = flags[position]
-                if not value:  # no coverage
-                    continue
-                vote = reference[address]
-                if vote.country is not None and value & HAS_COUNTRY:
-                    country_compared += 1
-                    country_agreeing += country_ids[position] == country_id_of(vote.country)
-                if vote.location is not None and value & CITY_LEVEL == CITY_LEVEL:
-                    city_compared += 1
-                    city_agreeing += (
-                        haversine_km(
-                            lats[position],
-                            lons[position],
-                            vote.location.lat,
-                            vote.location.lon,
-                        )
-                        <= city_range_km
-                    )
-            scores[name] = MajorityAgreement(
-                database=name,
-                country_compared=country_compared,
-                country_agreeing=country_agreeing,
-                city_compared=city_compared,
-                city_agreeing=city_agreeing,
-            )
-        return scores
+    pool = list(reference)
+    frame = as_frame(databases, pool)
+    positions = frame.positions(pool)
+    country_id_of = frame.countries.id_of
     scores = {}
-    for name, database in databases.items():
+    for name in frame.names:
+        column = frame.column(name)
+        flags = column.flags
+        country_ids = column.country_ids
+        lats = column.lats
+        lons = column.lons
         country_compared = country_agreeing = 0
         city_compared = city_agreeing = 0
-        for address, vote in reference.items():
-            record = database.lookup(address)
-            if record is None:
+        for address, position in zip(pool, positions):
+            value = flags[position]
+            if not value:  # no coverage
                 continue
-            if vote.country is not None and record.country is not None:
+            vote = reference[address]
+            if vote.country is not None and value & HAS_COUNTRY:
                 country_compared += 1
-                country_agreeing += record.country == vote.country
-            if (
-                vote.location is not None
-                and record.has_city
-                and record.has_coordinates
-            ):
+                country_agreeing += country_ids[position] == country_id_of(vote.country)
+            if vote.location is not None and value & CITY_LEVEL == CITY_LEVEL:
                 city_compared += 1
                 city_agreeing += (
-                    record.location.distance_km(vote.location) <= city_range_km
+                    haversine_km(
+                        lats[position],
+                        lons[position],
+                        vote.location.lat,
+                        vote.location.lon,
+                    )
+                    <= city_range_km
                 )
         scores[name] = MajorityAgreement(
             database=name,

@@ -20,19 +20,12 @@ from repro.core.accuracy import (
     evaluate_by_country,
     evaluate_by_rir,
     evaluate_by_source,
-    evaluate_database,
-    split_by_country,
-    split_by_rir,
     top_countries,
 )
 from repro.core.arincase import ArinCaseStudy, arin_case_study
 from repro.core.cityrange import CityRangeCalibration, calibrate_city_range
-from repro.core.consistency import (
-    ConsistencyReport,
-    _consistency_direct,
-    consistency_analysis,
-)
-from repro.core.coverage import CoverageReport, coverage_analysis, coverage_table
+from repro.core.consistency import ConsistencyReport, consistency_analysis
+from repro.core.coverage import CoverageReport, coverage_table
 from repro.core.frame import LookupFrame
 from repro.core.recommendations import Recommendation, build_recommendations
 from repro.core.report import (
@@ -323,7 +316,6 @@ class RouterGeolocationStudy:
         tracer: Tracer | NoopTracer | None = None,
         metrics: MetricsRegistry | None = None,
         scenario_config=None,
-        frame: LookupFrame | None = None,
         frame_workers: int | None = None,
     ):
         if not databases:
@@ -350,9 +342,8 @@ class RouterGeolocationStudy:
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.metrics = metrics
         self.scenario_config = scenario_config
-        #: Prebuilt lookup frame (e.g. from ``build_scenario``); built
-        #: lazily on the first frame-mode run when absent.
-        self._frame = frame
+        #: The study pool's lookup frame, built on the first run.
+        self._frame: LookupFrame | None = None
         #: Process fan-out for frame construction (None/1 = serial).
         self.frame_workers = frame_workers
         if metrics is not None:
@@ -369,12 +360,7 @@ class RouterGeolocationStudy:
         metrics: MetricsRegistry | None = None,
         frame_workers: int | None = None,
     ) -> "RouterGeolocationStudy":
-        """Build from a :class:`repro.scenario.build.Scenario`.
-
-        A frame the scenario already built (``build_scenario(...,
-        build_frame=True)``) is reused; otherwise the study builds its own
-        on the first frame-mode run.
-        """
+        """Build from a :class:`repro.scenario.build.Scenario`."""
         return cls(
             databases=scenario.databases,
             ark_addresses=scenario.ark_dataset.addresses,
@@ -385,7 +371,6 @@ class RouterGeolocationStudy:
             tracer=tracer,
             metrics=metrics,
             scenario_config=scenario.config,
-            frame=getattr(scenario, "frame", None),
             frame_workers=frame_workers,
         )
 
@@ -414,8 +399,9 @@ class RouterGeolocationStudy:
     def lookup_frame(self) -> LookupFrame:
         """The study's shared lookup frame, building it on first use.
 
-        The pool is every address any stage resolves: the Ark interface
-        population plus the merged ground-truth addresses.
+        This is the one place the study pool is resolved: every address
+        any stage reads, i.e. the Ark interface population plus the
+        merged ground-truth addresses (``frame_workers`` processes).
         """
         if self._frame is None:
             self._frame = LookupFrame.build(
@@ -427,130 +413,55 @@ class RouterGeolocationStudy:
             )
         return self._frame
 
-    # -- accuracy stages: columnar off the frame, per-lookup without ---------
-
-    def _accuracy_overall(self, frame: LookupFrame | None):
-        if frame is not None:
-            return evaluate_all(
-                frame, self.ground_truth, city_range_km=self.city_range_km
-            )
-        return {
-            name: evaluate_database(
-                database, self.ground_truth, city_range_km=self.city_range_km
-            )
-            for name, database in self.databases.items()
-        }
-
-    def _accuracy_by_rir(self, frame: LookupFrame | None):
-        if frame is not None:
-            return evaluate_by_rir(
-                frame, self.ground_truth, self.whois,
-                city_range_km=self.city_range_km,
-            )
-        return {
-            rir: {
-                name: evaluate_database(
-                    database, subset_set,
-                    subset=rir.value, city_range_km=self.city_range_km,
-                )
-                for name, database in self.databases.items()
-            }
-            for rir, subset_set in split_by_rir(self.ground_truth, self.whois).items()
-        }
-
-    def _accuracy_by_country(self, frame: LookupFrame | None, countries: tuple[str, ...]):
-        if frame is not None:
-            return evaluate_by_country(
-                frame, self.ground_truth,
-                countries=countries, city_range_km=self.city_range_km,
-            )
-        subsets = split_by_country(self.ground_truth)
-        return {
-            country: {
-                name: evaluate_database(
-                    database, subsets[country],
-                    subset=country, city_range_km=self.city_range_km,
-                )
-                for name, database in self.databases.items()
-            }
-            for country in countries
-            if country in subsets
-        }
-
-    def _accuracy_by_source(self, frame: LookupFrame | None):
-        if frame is not None:
-            return evaluate_by_source(
-                frame, self.ground_truth, city_range_km=self.city_range_km
-            )
-        return {
-            source: {
-                name: evaluate_database(
-                    database, self.ground_truth.by_source(source),
-                    subset=source.value, city_range_km=self.city_range_km,
-                )
-                for name, database in self.databases.items()
-            }
-            for source in GroundTruthSource
-            if len(self.ground_truth.by_source(source))
-        }
-
-    def run(self, *, all_databases: bool = False, use_frame: bool = True) -> StudyResult:
+    def run(self, *, all_databases: bool = False) -> StudyResult:
         """Execute every analysis (a few seconds at default scales).
 
         The ARIN case study (§5.2.3) runs only over
         ``self.case_study_database`` unless ``all_databases=True``.
-
-        ``use_frame`` (the default) resolves the whole address pool once
-        into a shared :class:`~repro.core.frame.LookupFrame` and runs
-        every stage off its columns; ``use_frame=False`` keeps the
-        original one-lookup-per-use path (the reference for equivalence
-        tests and the direct-vs-frame benchmark).  Output is
-        byte-identical either way.
+        Every stage reads the shared :meth:`lookup_frame`.
         """
         tracer = self.tracer
+        ground_truth = self.ground_truth
+        city_range_km = self.city_range_km
         with tracer.span("run") as run_span:
-            frame = self.lookup_frame() if use_frame else None
+            frame = self.lookup_frame()
             with tracer.span("coverage") as span:
-                if frame is not None:
-                    coverage = coverage_table(frame, self.ark_addresses)
-                else:
-                    coverage = {
-                        name: coverage_analysis(database, self.ark_addresses)
-                        for name, database in self.databases.items()
-                    }
+                coverage = coverage_table(frame, self.ark_addresses)
                 span.count(len(self.ark_addresses))
             with tracer.span("consistency") as span:
-                if frame is not None:
-                    consistency = consistency_analysis(frame, self.ark_addresses)
-                else:
-                    consistency = _consistency_direct(
-                        self.databases, self.ark_addresses
-                    )
+                consistency = consistency_analysis(frame, self.ark_addresses)
                 span.count(len(self.ark_addresses))
             with tracer.span("city_range") as span:
                 city_range = calibrate_city_range(
-                    self.databases, self.gazetteer, self.city_range_km
+                    self.databases, self.gazetteer, city_range_km
                 )
-                span.set(city_range_km=self.city_range_km)
+                span.set(city_range_km=city_range_km)
             with tracer.span("table1") as span:
                 table1_rows = table1(
                     self.dns_ground_truth, self.rtt_ground_truth, self.whois
                 )
-                span.count(len(self.ground_truth))
+                span.count(len(ground_truth))
             with tracer.span("accuracy_overall") as span:
-                overall = self._accuracy_overall(frame)
-                span.count(len(self.ground_truth))
+                overall = evaluate_all(frame, ground_truth, city_range_km=city_range_km)
+                span.count(len(ground_truth))
             with tracer.span("accuracy_by_rir") as span:
-                by_rir = self._accuracy_by_rir(frame)
+                by_rir = evaluate_by_rir(
+                    frame, ground_truth, self.whois, city_range_km=city_range_km
+                )
                 span.set(rirs=len(by_rir))
             with tracer.span("accuracy_by_country") as span:
-                top20 = top_countries(self.ground_truth, 20)
-                by_country = self._accuracy_by_country(
-                    frame, tuple(country for country, _ in top20)
+                top20 = top_countries(ground_truth, 20)
+                by_country = evaluate_by_country(
+                    frame,
+                    ground_truth,
+                    countries=tuple(country for country, _ in top20),
+                    city_range_km=city_range_km,
                 )
                 span.count(len(by_country))
             with tracer.span("accuracy_by_source") as span:
-                by_source = self._accuracy_by_source(frame)
+                by_source = evaluate_by_source(
+                    frame, ground_truth, city_range_km=city_range_km
+                )
                 span.set(sources=len(by_source))
             with tracer.span("arin_case_study") as span:
                 case_names = (
@@ -560,10 +471,10 @@ class RouterGeolocationStudy:
                 )
                 arin_cases = {
                     name: arin_case_study(
-                        name if frame is not None else self.databases[name],
-                        self.ground_truth,
+                        name,
+                        ground_truth,
                         self.whois,
-                        city_range_km=self.city_range_km,
+                        city_range_km=city_range_km,
                         frame=frame,
                     )
                     for name in case_names

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.cdf import Ecdf
-from repro.core.frame import HAS_COORDS, LookupFrame, as_frame
+from repro.core.frame import HAS_COORDS, LookupFrame, as_frame, column_frame
 from repro.geo.coordinates import GeoPoint
 from repro.geodb.database import GeoDatabase
 from repro.topology.itdk import AliasMap
@@ -46,44 +46,29 @@ class RouterConsistencyReport:
         return self.country_split_routers / self.routers_evaluated
 
 
-def _node_answers(database, alias_map, frame):
-    """Yield per-alias-set located points and country keys.
-
-    Produces ``(located GeoPoints, country keys)`` per node, where the
-    country keys are strings on the direct path and interned ids on the
-    frame path — only set cardinality is consumed either way.
-    """
-    if frame is not None:
-        name = database if isinstance(database, str) else database.name
-        column = frame.column(name)
-        flags = column.flags
-        country_ids = column.country_ids
-        lats = column.lats
-        lons = column.lons
-        for addresses in alias_map.nodes.values():
-            located = []
-            countries = set()
-            for position in frame.positions(addresses):
-                value = flags[position]
-                if not value & HAS_COORDS:
-                    continue
-                located.append(GeoPoint(lats[position], lons[position]))
-                identifier = country_ids[position]
-                if identifier >= 0:
-                    countries.add(identifier)
-            yield located, countries
-        return
+def _node_answers(column, frame, alias_map):
+    """Yield ``(located GeoPoints, country ids)`` per alias set."""
+    flags = column.flags
+    country_ids = column.country_ids
+    lats = column.lats
+    lons = column.lons
     for addresses in alias_map.nodes.values():
         located = []
         countries = set()
-        for address in addresses:
-            record = database.lookup(address)
-            if record is None or not record.has_coordinates:
+        for position in frame.positions(addresses):
+            value = flags[position]
+            if not value & HAS_COORDS:
                 continue
-            located.append(record.location)
-            if record.country is not None:
-                countries.add(record.country)
+            located.append(GeoPoint(lats[position], lons[position]))
+            identifier = country_ids[position]
+            if identifier >= 0:
+                countries.add(identifier)
         yield located, countries
+
+
+def _alias_addresses(alias_map: AliasMap):
+    """Every interface address of every alias set."""
+    return (address for addresses in alias_map.nodes.values() for address in addresses)
 
 
 def router_consistency(
@@ -96,13 +81,15 @@ def router_consistency(
     """Measure alias-set coherence of a database's answers.
 
     With ``frame`` (covering every alias address), ``database`` may be
-    just the column name and no lookups run.
+    just the column name; without it, a one-column frame is built over
+    the alias addresses.
     """
     if city_range_km <= 0:
         raise ValueError(f"city range must be positive: {city_range_km!r}")
+    name, frame = column_frame(database, _alias_addresses(alias_map), frame)
     evaluated = consistent = country_split = 0
     scatters = []
-    for located, countries in _node_answers(database, alias_map, frame):
+    for located, countries in _node_answers(frame.column(name), frame, alias_map):
         if len(located) < 2:
             continue
         evaluated += 1
@@ -118,7 +105,7 @@ def router_consistency(
         if len(countries) > 1:
             country_split += 1
     return RouterConsistencyReport(
-        database=database if isinstance(database, str) else database.name,
+        database=name,
         routers_evaluated=evaluated,
         consistent_routers=consistent,
         scatter_ecdf=Ecdf(scatters),
@@ -139,10 +126,7 @@ def router_consistency_table(
     """
     if city_range_km <= 0:
         raise ValueError(f"city range must be positive: {city_range_km!r}")
-    frame = as_frame(
-        databases,
-        (address for addresses in alias_map.nodes.values() for address in addresses),
-    )
+    frame = as_frame(databases, _alias_addresses(alias_map))
     return {
         name: router_consistency(
             name, alias_map, city_range_km=city_range_km, frame=frame

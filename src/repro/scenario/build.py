@@ -26,7 +26,6 @@ from repro.atlas.measurements import (
     run_builtin_measurements,
     select_builtin_targets,
 )
-from repro.core.frame import LookupFrame
 from repro.atlas.probes import AtlasProbe, deploy_probes
 from repro.dns.drop import DropEngine
 from repro.dns.hints import HintDictionary
@@ -64,31 +63,12 @@ class Scenario:
     dns_ground_truth: DnsGroundTruthResult
     rtt_ground_truth: RttProximityResult
     databases: Mapping[str, GeoDatabase]
-    #: Shared columnar resolution of the study's address pool against
-    #: every database; ``None`` unless built with ``build_frame=True``.
-    frame: LookupFrame | None = None
 
     @property
     def ground_truth(self) -> GroundTruthSet:
         """The merged 'Table 1' ground truth (DNS precedence on overlap)."""
         return merge_ground_truth(
             self.dns_ground_truth.dataset, self.rtt_ground_truth.dataset
-        )
-
-    def lookup_frame(self, *, workers: int | None = None) -> LookupFrame:
-        """The scenario's lookup frame: the prebuilt one, or a fresh build.
-
-        The pool matches what :class:`~repro.core.pipeline.RouterGeolocationStudy`
-        resolves — Ark interface addresses plus merged ground truth.
-        Scenarios are frozen, so an on-demand build is *not* cached; pass
-        ``build_frame=True`` to :func:`build_scenario` to share one.
-        """
-        if self.frame is not None:
-            return self.frame
-        return LookupFrame.build(
-            self.databases,
-            [*self.ark_dataset.addresses, *self.ground_truth.addresses()],
-            workers=workers,
         )
 
     def describe(self) -> str:
@@ -114,8 +94,6 @@ def build_scenario(
     *,
     tracer: Tracer | NoopTracer | None = None,
     metrics: MetricsRegistry | None = None,
-    build_frame: bool = False,
-    frame_workers: int | None = None,
 ) -> Scenario:
     """Assemble a scenario (see module docstring for the steps).
 
@@ -126,12 +104,9 @@ def build_scenario(
     ``tracer`` wraps each build phase in a timing span and ``metrics``
     receives ``scenario.*`` dataset-size counters; both default to the
     zero-cost no-ops, leaving the build byte-identical to uninstrumented
-    runs.
-
-    ``build_frame=True`` additionally resolves the study's address pool
-    into a shared :class:`~repro.core.frame.LookupFrame` (optionally with
-    ``frame_workers`` processes) so the pipeline starts with zero lookup
-    work; the frame rides on :attr:`Scenario.frame`.
+    runs.  Resolving the study's address pool into a lookup frame is the
+    study's job (:meth:`~repro.core.pipeline.RouterGeolocationStudy.lookup_frame`),
+    not the scenario's.
     """
     if config is None:
         config = ScenarioConfig(seed=seed, scale=scale)
@@ -207,21 +182,6 @@ def build_scenario(
             databases = generator.generate_paper_set()
             span.count(sum(len(database) for database in databases.values()))
 
-        frame = None
-        if build_frame:
-            frame = LookupFrame.build(
-                databases,
-                [
-                    *ark_dataset.addresses,
-                    *merge_ground_truth(
-                        dns_result.dataset, rtt_result.dataset
-                    ).addresses(),
-                ],
-                workers=frame_workers,
-                tracer=tracer,
-                metrics=metrics,
-            )
-
     if metrics is not None:
         metrics.inc("scenario.interfaces", internet.interface_count())
         metrics.inc("scenario.rdns_records", len(rdns))
@@ -251,7 +211,6 @@ def build_scenario(
         dns_ground_truth=dns_result,
         rtt_ground_truth=rtt_result,
         databases=databases,
-        frame=frame,
     )
 
 

@@ -1,11 +1,12 @@
-"""The columnar lookup frame: byte-equivalence with the direct path.
+"""The columnar lookup frame, checked against direct database lookups.
 
-The frame's contract is stronger than "same results": every column value
-must be derivable from :meth:`GeoDatabase.lookup` on the same address,
-every analysis stage must produce *equal* reports whichever path runs,
-and the full study must render an identical summary.  These tests pin
-that contract over the demanding shared probe pool (prefix edges,
-pseudorandom spread, the space's first and last address).
+Every column value must be derivable from :meth:`GeoDatabase.lookup` on
+the same address, every analysis stage must report exactly what the
+brute-force oracle in :mod:`tests.core.study_oracle` computes from
+lookups alone, and the full study must render the same bytes as a result
+assembled from the oracle.  The column tests run over the demanding
+shared probe pool (prefix edges, pseudorandom spread, the space's first
+and last address).
 """
 
 import math
@@ -24,6 +25,7 @@ from repro.core.frame import (
     StringTable,
     as_frame,
 )
+from tests.core import study_oracle
 
 
 @pytest.fixture(scope="module")
@@ -215,55 +217,66 @@ class TestAccess:
         assert ("test", 1) not in other.stage_cache
 
 
+@pytest.fixture(scope="module")
+def study_frame(small_scenario):
+    """The study's own frame over its pool (Ark + merged ground truth)."""
+    from repro.core.pipeline import RouterGeolocationStudy
+
+    return RouterGeolocationStudy.from_scenario(small_scenario).lookup_frame()
+
+
 class TestStageEquivalence:
-    """Every dual-signature stage: frame path == direct path."""
+    """Every frame-reading stage equals the brute-force oracle, whether it
+    reads the study frame, a frame it builds from a database mapping, or
+    the one-column frame a per-database call builds."""
 
-    @pytest.fixture(scope="class")
-    def gt_frame(self, small_scenario):
-        """A frame over the study pool (Ark + merged ground truth)."""
-        return small_scenario.lookup_frame()
-
-    def test_coverage(self, small_scenario, gt_frame):
-        from repro.core.coverage import coverage_analysis
+    def test_coverage(self, small_scenario, study_frame):
+        from repro.core.coverage import coverage_analysis, coverage_table
 
         addresses = small_scenario.ark_dataset.addresses
-        for name, database in small_scenario.databases.items():
-            direct = coverage_analysis(database, addresses)
-            framed = coverage_analysis(name, addresses, frame=gt_frame)
-            assert direct == framed
+        databases = small_scenario.databases
+        for name, database in databases.items():
+            expected = study_oracle.coverage(database, addresses)
+            assert coverage_analysis(database, addresses) == expected
+            assert coverage_analysis(name, addresses, frame=study_frame) == expected
+        expected = {
+            name: study_oracle.coverage(database, addresses)
+            for name, database in databases.items()
+        }
+        assert coverage_table(databases, addresses) == expected
+        assert coverage_table(study_frame, addresses) == expected
 
-    def test_consistency(self, small_scenario, gt_frame):
-        from repro.core.consistency import _consistency_direct, consistency_analysis
+    def test_consistency(self, small_scenario, study_frame):
+        from repro.core.consistency import consistency_analysis
 
         addresses = small_scenario.ark_dataset.addresses
-        direct = _consistency_direct(small_scenario.databases, addresses)
-        from_databases = consistency_analysis(small_scenario.databases, addresses)
-        from_frame = consistency_analysis(gt_frame, addresses)
-        assert direct == from_databases == from_frame
+        expected = study_oracle.consistency(small_scenario.databases, addresses)
+        assert consistency_analysis(small_scenario.databases, addresses) == expected
+        assert consistency_analysis(study_frame, addresses) == expected
 
-    def test_majority(self, small_scenario, gt_frame):
+    def test_majority(self, small_scenario, study_frame):
         from repro.core.majority import majority_vote_reference, score_against_majority
 
         addresses = list(small_scenario.ark_dataset.addresses[:400])
-        direct_reference = majority_vote_reference(
-            addresses, small_scenario.databases
-        )
-        frame_reference = majority_vote_reference(addresses, gt_frame)
-        assert direct_reference == frame_reference
-        assert score_against_majority(
-            small_scenario.databases, direct_reference
-        ) == score_against_majority(gt_frame, frame_reference)
+        databases = small_scenario.databases
+        reference = study_oracle.majority_reference(addresses, databases)
+        assert majority_vote_reference(addresses, databases) == reference
+        assert majority_vote_reference(addresses, study_frame) == reference
+        scores = study_oracle.majority_scores(databases, reference)
+        assert score_against_majority(databases, reference) == scores
+        assert score_against_majority(study_frame, reference) == scores
 
-    def test_defaults(self, small_scenario, gt_frame):
+    def test_defaults(self, small_scenario, study_frame):
         from repro.core.defaults import detect_default_coordinates
 
         addresses = small_scenario.ark_dataset.addresses
         for name, database in small_scenario.databases.items():
-            direct = detect_default_coordinates(database, addresses)
-            framed = detect_default_coordinates(name, addresses, frame=gt_frame)
-            assert direct == framed
+            expected = study_oracle.default_coordinates(database, addresses)
+            assert detect_default_coordinates(database, addresses) == expected
+            framed = detect_default_coordinates(name, addresses, frame=study_frame)
+            assert framed == expected
 
-    def test_routerlevel(self, small_scenario, gt_frame):
+    def test_routerlevel(self, small_scenario, study_frame):
         import random
 
         from repro.core.routerlevel import router_consistency
@@ -273,51 +286,96 @@ class TestStageEquivalence:
             small_scenario.ark_dataset.addresses, random.Random(23)
         )
         for name, database in small_scenario.databases.items():
-            direct = router_consistency(database, alias_map)
-            framed = router_consistency(name, alias_map, frame=gt_frame)
-            assert direct == framed
+            expected = study_oracle.router_consistency(database, alias_map)
+            assert router_consistency(database, alias_map) == expected
+            assert router_consistency(name, alias_map, frame=study_frame) == expected
 
-    def test_accuracy_overall_and_breakdowns(self, small_scenario, gt_frame):
+    def test_accuracy_overall_and_breakdowns(self, small_scenario, study_frame):
         from repro.core.accuracy import (
             evaluate_all,
+            evaluate_by_country,
             evaluate_by_rir,
             evaluate_by_source,
+            evaluate_database,
         )
 
         ground_truth = small_scenario.ground_truth
         whois = small_scenario.internet.whois
-        assert evaluate_all(small_scenario.databases, ground_truth) == evaluate_all(
-            gt_frame, ground_truth
-        )
-        assert evaluate_by_rir(
-            small_scenario.databases, ground_truth, whois
-        ) == evaluate_by_rir(gt_frame, ground_truth, whois)
-        assert evaluate_by_source(
-            small_scenario.databases, ground_truth
-        ) == evaluate_by_source(gt_frame, ground_truth)
+        databases = small_scenario.databases
+        overall = study_oracle.accuracy_all(databases, ground_truth)
+        for name, database in databases.items():
+            assert evaluate_database(database, ground_truth) == overall[name]
+            assert evaluate_database(name, ground_truth, frame=study_frame) == overall[name]
+        by_rir = study_oracle.accuracy_by_rir(databases, ground_truth, whois)
+        by_source = study_oracle.accuracy_by_source(databases, ground_truth)
+        countries = ("US", "DE", "JP", "ZZ")
+        by_country = study_oracle.accuracy_by_country(databases, ground_truth, countries)
+        for source in (databases, study_frame):
+            assert evaluate_all(source, ground_truth) == overall
+            assert evaluate_by_rir(source, ground_truth, whois) == by_rir
+            assert evaluate_by_source(source, ground_truth) == by_source
+            assert (
+                evaluate_by_country(source, ground_truth, countries=countries)
+                == by_country
+            )
 
-    def test_arin_case(self, small_scenario, gt_frame):
+    def test_arin_case(self, small_scenario, study_frame):
         from repro.core.arincase import arin_case_study
 
         ground_truth = small_scenario.ground_truth
         whois = small_scenario.internet.whois
         for name, database in small_scenario.databases.items():
-            direct = arin_case_study(database, ground_truth, whois)
-            framed = arin_case_study(name, ground_truth, whois, frame=gt_frame)
-            assert direct == framed
+            expected = study_oracle.arin_case(database, ground_truth, whois)
+            assert arin_case_study(database, ground_truth, whois) == expected
+            framed = arin_case_study(name, ground_truth, whois, frame=study_frame)
+            assert framed == expected
+
+
+class TestColumnNameNeedsFrame:
+    """A per-database stage given a column name but no frame has nothing
+    to resolve against: it raises a TypeError that says so."""
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            "coverage_analysis",
+            "evaluate_database",
+            "detect_default_coordinates",
+            "router_consistency",
+            "arin_case_study",
+        ],
+    )
+    def test_raises_type_error(self, small_scenario, stage):
+        from repro import core
+        from repro.topology.itdk import AliasMap
+
+        ground_truth = small_scenario.ground_truth
+        addresses = tuple(small_scenario.ark_dataset.addresses[:2])
+        args = {
+            "coverage_analysis": (addresses,),
+            "evaluate_database": (ground_truth,),
+            "detect_default_coordinates": (addresses,),
+            "router_consistency": (
+                AliasMap(nodes={"N1": addresses}, node_of=dict.fromkeys(addresses, "N1")),
+            ),
+            "arin_case_study": (ground_truth, small_scenario.internet.whois),
+        }[stage]
+        with pytest.raises(TypeError, match="a column name needs frame="):
+            getattr(core, stage)("MaxMind-Paid", *args)
 
 
 class TestStudyEquivalence:
-    """The acceptance bar: the full study renders byte-identically."""
+    """The acceptance bar: the full study renders byte-identically to a
+    result assembled from the oracle stages."""
 
-    def test_summary_is_byte_identical_direct_vs_frame(self, small_scenario):
+    def test_summary_is_byte_identical_oracle_vs_frame(self, small_scenario):
         from repro.core.pipeline import RouterGeolocationStudy
 
         study = RouterGeolocationStudy.from_scenario(small_scenario)
-        direct = study.run(use_frame=False)
-        framed = study.run(use_frame=True)
-        assert direct.render_summary() == framed.render_summary()
-        assert direct.render_markdown() == framed.render_markdown()
+        framed = study.run(all_databases=True)
+        expected = study_oracle.study_result(study, all_databases=True)
+        assert framed.render_summary() == expected.render_summary()
+        assert framed.render_markdown() == expected.render_markdown()
 
 
 class TestDegradedEquivalence:
@@ -325,10 +383,9 @@ class TestDegradedEquivalence:
 
     The serving layer decides which vendors are healthy (one injected
     always-failing vendor gets quarantined); the analysis pipeline then
-    runs over exactly the surviving set — and the frame path and direct
-    path must still agree report-for-report, like they do when nothing
-    is broken.  A fault that leaked into healthy vendors' numbers would
-    split the two paths here.
+    runs over exactly the surviving set, and every stage must still
+    match the oracle over that set, as it does when nothing is broken.
+    A fault that leaked into healthy vendors' numbers would show here.
     """
 
     @pytest.fixture(scope="class")
@@ -373,13 +430,13 @@ class TestDegradedEquivalence:
         addresses = small_scenario.ark_dataset.addresses
         frame = LookupFrame.build(databases, addresses)
         for name, database in databases.items():
-            assert coverage_analysis(database, addresses) == coverage_analysis(
-                name, addresses, frame=frame
-            )
-        assert consistency_analysis(databases, addresses) == consistency_analysis(
-            frame, addresses
-        )
+            expected = study_oracle.coverage(database, addresses)
+            assert coverage_analysis(database, addresses) == expected
+            assert coverage_analysis(name, addresses, frame=frame) == expected
+        expected = study_oracle.consistency(databases, addresses)
+        assert consistency_analysis(databases, addresses) == expected
+        assert consistency_analysis(frame, addresses) == expected
         voters = list(addresses[:400])
-        assert majority_vote_reference(voters, databases) == majority_vote_reference(
-            voters, frame
-        )
+        expected = study_oracle.majority_reference(voters, databases)
+        assert majority_vote_reference(voters, databases) == expected
+        assert majority_vote_reference(voters, frame) == expected

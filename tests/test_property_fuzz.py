@@ -14,7 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geo import GeoPoint
+from repro.geo import COUNTRIES, GeoPoint
 from repro.geodb import (
     DatabaseEntry,
     FormatError,
@@ -50,32 +50,77 @@ latitudes = st.floats(-90, 90, allow_nan=False).map(lambda v: round(v, 4))
 longitudes = st.floats(-180, 180, allow_nan=False).map(lambda v: round(v, 4))
 
 
+#: A few coordinates that sit close together, far apart, and on country
+#: centroids, so drawn answers agree, disagree and look like defaults.
+clustered_points = st.sampled_from(
+    [
+        (52.37, 4.9),
+        (52.45, 4.8),  # ~12 km from the first
+        (40.71, -74.01),
+        *(
+            (COUNTRIES.get(code).centroid_lat, COUNTRIES.get(code).centroid_lon)
+            for code in ("US", "DE")
+        ),
+    ]
+)
+
+
 @st.composite
-def geo_records(draw):
+def geo_records(draw, points=None):
+    """Records that may lack a country, a city or coordinates.
+
+    ``points`` draws ``(lat, lon)`` pairs; by default any coordinates.
+    """
     country = draw(st.one_of(st.none(), country_codes))
     city = draw(city_names) if country is not None else None
     has_coords = draw(st.booleans()) or city is not None
-    lat = draw(latitudes) if has_coords else None
-    lon = draw(longitudes) if has_coords else None
+    if points is not None and has_coords:
+        lat, lon = draw(points)
+    else:
+        lat = draw(latitudes) if has_coords else None
+        lon = draw(longitudes) if has_coords else None
     region = draw(st.one_of(st.none(), st.just("Region"))) if city else None
     return GeoRecord(country=country, region=region, city=city, latitude=lat, longitude=lon)
 
 
 @st.composite
-def databases(draw):
-    # Disjoint /24s under 10.0.0.0/8 keyed by the third octet pair.
-    count = draw(st.integers(1, 12))
-    indexes = draw(
-        st.lists(st.integers(0, 2**16 - 1), min_size=count, max_size=count, unique=True)
-    )
-    entries = [
-        DatabaseEntry(
-            prefix=ipaddress.ip_network(((10 << 24) + (index << 8), 24)),
-            record=draw(geo_records()),
+def databases(draw, name="fuzz", nested=False):
+    """A small database under 10.0.0.0/8.
+
+    By default: disjoint /24s keyed by the third octet pair.  With
+    ``nested=True``: /16 to /32 prefixes inside 10.0.0.0/20, so most
+    prefixes nest in or straddle /24 boundaries of others, with answers
+    drawn from :data:`clustered_points`.
+    """
+    if nested:
+        prefixes = draw(
+            st.lists(
+                st.builds(
+                    lambda offset, length: ipaddress.ip_network(
+                        ((10 << 24) + offset, length), strict=False
+                    ),
+                    st.integers(0, 2**12 - 1),
+                    st.integers(16, 32),
+                ),
+                min_size=1,
+                max_size=12,
+                unique=True,
+            )
         )
-        for index in indexes
-    ]
-    return GeoDatabase("fuzz", entries)
+        records = geo_records(points=clustered_points)
+    else:
+        count = draw(st.integers(1, 12))
+        indexes = draw(
+            st.lists(
+                st.integers(0, 2**16 - 1), min_size=count, max_size=count, unique=True
+            )
+        )
+        prefixes = [
+            ipaddress.ip_network(((10 << 24) + (index << 8), 24)) for index in indexes
+        ]
+        records = geo_records()
+    entries = [DatabaseEntry(prefix=prefix, record=draw(records)) for prefix in prefixes]
+    return GeoDatabase(name, entries)
 
 
 @st.composite
