@@ -52,12 +52,11 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.pipeline import RouterGeolocationStudy
-from repro.geodb.diff import diff_snapshots, refresh_snapshot
-from repro.geodb.formats import export_geolite_csv, export_ip2location_csv
-from repro.groundtruth.io import export_ground_truth_csv
 from repro.obs import NOOP_TRACER, MetricsRegistry, StageLogger, Tracer, render_span_tree
-from repro.scenario.build import build_scenario
+
+# The study-side modules (pipeline, scenario build, database formats)
+# are imported by the subcommands that use them: `serve --snapshots`
+# and `serve --store` load no study code, which keeps server boot fast.
 
 
 def _package_version() -> str:
@@ -514,15 +513,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         from repro.serve.engine import ServingEngine
         from repro.serve.plane import PLANE_SUFFIX, load_plane
-        from repro.serve.snapshot import SnapshotError
+        from repro.serve.snapshot import SnapshotError, load_index_set
 
         plane = None
         plane_path = Path(args.snapshots) / f"plane{PLANE_SUFFIX}"
         try:
+            # Each file is read once: the plane points into the loaded
+            # indexes rather than loading its own copy.
+            indexes = load_index_set(args.snapshots)
             if plane_path.is_file():
-                plane = load_plane(plane_path)
-            engine = ServingEngine.from_snapshot_dir(
-                args.snapshots,
+                plane = load_plane(plane_path, indexes=indexes)
+            engine = ServingEngine(
+                indexes,
                 injector=_chaos_injector(args.chaos_seed),
                 plane=plane,
             )
@@ -622,6 +624,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             else:
                 # Self-contained mode: compile the scenario and boot a
                 # server in-process, replay, then tear it down.
+                from repro.scenario.build import build_scenario
                 from repro.serve.engine import ServingEngine
                 from repro.serve.http import GeoServer
                 from repro.serve.index import CompiledIndex
@@ -709,6 +712,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         tracer = NOOP_TRACER
         metrics = None
 
+    from repro.scenario.build import build_scenario
+
     scenario = build_scenario(
         seed=args.seed, scale=args.scale, tracer=tracer, metrics=metrics
     )
@@ -795,6 +800,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1 if failed else 0
 
     if args.command == "run":
+        from repro.core.pipeline import RouterGeolocationStudy
+
         study = RouterGeolocationStudy.from_scenario(
             scenario, tracer=tracer, metrics=metrics, frame_workers=args.workers
         )
@@ -806,6 +813,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return status
 
     if args.command == "trace":
+        from repro.core.pipeline import RouterGeolocationStudy
+
         RouterGeolocationStudy.from_scenario(
             scenario, tracer=tracer, metrics=metrics
         ).run()
@@ -816,6 +825,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "export-db":
+        from repro.geodb.formats import export_geolite_csv, export_ip2location_csv
+
         database = scenario.databases[args.database]
         if args.format == "geolite":
             text = export_geolite_csv(database)
@@ -824,6 +835,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _emit(text, args.output)
 
     if args.command == "export-ground-truth":
+        from repro.groundtruth.io import export_ground_truth_csv
+
         return _emit(export_ground_truth_csv(scenario.ground_truth), args.output)
 
     if args.command == "export-artifacts":
@@ -884,6 +897,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
     if args.command == "snapshot":  # publish (list/rollback exit earlier)
+        from repro.geodb.diff import refresh_snapshot
         from repro.serve.errors import ServeError
         from repro.serve.index import CompiledIndex
         from repro.serve.plane import compile_plane
@@ -929,6 +943,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "diff-db":
+        from repro.geodb.diff import diff_snapshots, refresh_snapshot
+
         base = scenario.databases[args.database]
         later = refresh_snapshot(
             base,

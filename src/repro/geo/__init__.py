@@ -1,35 +1,21 @@
 """Geographic substrate: coordinates, countries, RIRs, and the gazetteer."""
 
-from repro.geo.coordinates import (
-    EARTH_RADIUS_KM,
-    MAX_GREAT_CIRCLE_KM,
-    GeoPoint,
-    InvalidCoordinateError,
-    centroid,
-    haversine_km,
-    normalize_longitude,
-)
-from repro.geo.countries import COUNTRIES, Country, CountryRegistry, UnknownCountryError
-from repro.geo.gazetteer import City, Gazetteer, UnknownCityError
-from repro.geo.rir import RIR, RIR_ORDER, countries_served_by, rir_for_country
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EARTH_RADIUS_KM",
-    "MAX_GREAT_CIRCLE_KM",
-    "GeoPoint",
-    "InvalidCoordinateError",
-    "centroid",
-    "haversine_km",
-    "normalize_longitude",
-    "COUNTRIES",
-    "Country",
-    "CountryRegistry",
-    "UnknownCountryError",
-    "City",
-    "Gazetteer",
-    "UnknownCityError",
-    "RIR",
-    "RIR_ORDER",
-    "countries_served_by",
-    "rir_for_country",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "coordinates": (
+            "EARTH_RADIUS_KM",
+            "MAX_GREAT_CIRCLE_KM",
+            "GeoPoint",
+            "InvalidCoordinateError",
+            "centroid",
+            "haversine_km",
+            "normalize_longitude",
+        ),
+        "countries": ("COUNTRIES", "Country", "CountryRegistry", "UnknownCountryError"),
+        "gazetteer": ("City", "Gazetteer", "UnknownCityError"),
+        "rir": ("RIR", "RIR_ORDER", "countries_served_by", "rir_for_country"),
+    },
+)

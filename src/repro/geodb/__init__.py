@@ -1,53 +1,30 @@
 """Geolocation database substrate: engine, formats, and vendor generators."""
 
-from repro.geodb.database import DatabaseEntry, GeoDatabase, single_prefix
-from repro.geodb.diff import SnapshotDiff, diff_snapshots, refresh_snapshot
-from repro.geodb.errormodel import DerivationProfile, PerRir, VendorProfile, mix
-from repro.geodb.formats import (
-    FormatError,
-    export_geolite_csv,
-    export_ip2location_csv,
-    import_geolite_csv,
-    import_ip2location_csv,
-    round_trip_check,
-)
-from repro.geodb.generator import SnapshotGenerator, blocks_of
-from repro.geodb.record import GeoRecord, LocationSource, Resolution
-from repro.geodb.vendors import (
-    GENERATED_PROFILES,
-    IP2LOCATION_LITE,
-    MAXMIND_GEOLITE_DERIVATION,
-    MAXMIND_PAID,
-    NETACUITY,
-    PAPER_DATABASE_NAMES,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatabaseEntry",
-    "GeoDatabase",
-    "single_prefix",
-    "SnapshotDiff",
-    "diff_snapshots",
-    "refresh_snapshot",
-    "DerivationProfile",
-    "PerRir",
-    "VendorProfile",
-    "mix",
-    "FormatError",
-    "export_geolite_csv",
-    "export_ip2location_csv",
-    "import_geolite_csv",
-    "import_ip2location_csv",
-    "round_trip_check",
-    "SnapshotGenerator",
-    "blocks_of",
-    "GeoRecord",
-    "LocationSource",
-    "Resolution",
-    "GENERATED_PROFILES",
-    "IP2LOCATION_LITE",
-    "MAXMIND_GEOLITE_DERIVATION",
-    "MAXMIND_PAID",
-    "NETACUITY",
-    "PAPER_DATABASE_NAMES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "database": ("DatabaseEntry", "GeoDatabase", "single_prefix"),
+        "diff": ("SnapshotDiff", "diff_snapshots", "refresh_snapshot"),
+        "errormodel": ("DerivationProfile", "PerRir", "VendorProfile", "mix"),
+        "formats": (
+            "FormatError",
+            "export_geolite_csv",
+            "export_ip2location_csv",
+            "import_geolite_csv",
+            "import_ip2location_csv",
+            "round_trip_check",
+        ),
+        "generator": ("SnapshotGenerator", "blocks_of"),
+        "record": ("GeoRecord", "LocationSource", "Resolution"),
+        "vendors": (
+            "GENERATED_PROFILES",
+            "IP2LOCATION_LITE",
+            "MAXMIND_GEOLITE_DERIVATION",
+            "MAXMIND_PAID",
+            "NETACUITY",
+            "PAPER_DATABASE_NAMES",
+        ),
+    },
+)

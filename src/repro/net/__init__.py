@@ -1,42 +1,29 @@
 """Addressing and registry substrate: IPv4 helpers, ASes, RIR delegations."""
 
-from repro.net.asn import ASRole, AutonomousSystem
-from repro.net.ip import (
-    AddressPoolExhaustedError,
-    IPv4Address,
-    IPv4Network,
-    PrefixPool,
-    block_of,
-    hosts_in,
-    nth_address,
-    parse_address,
-    parse_network,
-)
-from repro.net.registry import (
-    RIR_PARENT_BLOCKS,
-    Delegation,
-    DelegationRegistry,
-    TeamCymruWhois,
-    UnallocatedAddressError,
-    WhoisRecord,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ASRole",
-    "AutonomousSystem",
-    "AddressPoolExhaustedError",
-    "IPv4Address",
-    "IPv4Network",
-    "PrefixPool",
-    "block_of",
-    "hosts_in",
-    "nth_address",
-    "parse_address",
-    "parse_network",
-    "RIR_PARENT_BLOCKS",
-    "Delegation",
-    "DelegationRegistry",
-    "TeamCymruWhois",
-    "UnallocatedAddressError",
-    "WhoisRecord",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "asn": ("ASRole", "AutonomousSystem"),
+        "ip": (
+            "AddressPoolExhaustedError",
+            "IPv4Address",
+            "IPv4Network",
+            "PrefixPool",
+            "block_of",
+            "hosts_in",
+            "nth_address",
+            "parse_address",
+            "parse_network",
+        ),
+        "registry": (
+            "RIR_PARENT_BLOCKS",
+            "Delegation",
+            "DelegationRegistry",
+            "TeamCymruWhois",
+            "UnallocatedAddressError",
+            "WhoisRecord",
+        ),
+    },
+)

@@ -377,10 +377,12 @@ class ServingEngine:
         if not indexes:
             raise ValueError("a serving engine needs at least one database index")
         indexes = dict(sorted(indexes.items()))
+        missing = tuple(sorted(set(expected or ()) - set(indexes)))
+        if plane is not None:
+            self._check_plane(plane, indexes, missing)
         injector = self._injector
         if injector is not None:
             indexes = injector.wrap_indexes(indexes)
-        missing = tuple(sorted(set(expected or ()) - set(indexes)))
         health = {
             name: _VendorHealth(self._policy.cooldown_s) for name in indexes
         }
@@ -388,8 +390,6 @@ class ServingEngine:
             health[name] = _VendorHealth(
                 self._policy.cooldown_s, status="missing"
             )
-        if plane is not None:
-            self._check_plane(plane, indexes, missing)
         # An armed injector gates faults inside the per-vendor probe
         # wrappers; the plane would route around them, so chaos engines
         # always run the live path.
@@ -411,8 +411,12 @@ class ServingEngine:
         indexes: Mapping[str, CompiledIndex],
         missing: tuple[str, ...],
     ) -> None:
-        """Refuse a plane whose compile-time parameters disagree with this
-        engine — a mismatched plane would serve subtly different answers."""
+        """Refuse a plane whose compile-time parameters or index content
+        disagree with this engine — a mismatched plane would serve subtly
+        different answers.  Each served index must be the one the plane
+        is bound to, or carry the same ``.rgix`` payload checksum
+        (:meth:`~repro.serve.plane.AnswerPlane.serves`); equal interval
+        counts are not enough."""
         vendor_names = sorted((*indexes, *missing))
         if sorted(plane.names) != vendor_names:
             raise ValueError(
@@ -430,13 +434,11 @@ class ServingEngine:
                 f" engine policy uses {self._policy.quorum_min}"
             )
         for name, index in indexes.items():
-            intervals = getattr(index, "interval_count", None)
-            expected_intervals = plane.vendor_intervals.get(name)
-            if intervals is not None and intervals != expected_intervals:
+            if not plane.serves(name, index):
                 raise ValueError(
-                    f"answer plane was compiled over {name} with"
-                    f" {expected_intervals} intervals; the served index has"
-                    f" {intervals} — recompile the plane with its snapshots"
+                    f"answer plane was not compiled over the served {name}"
+                    f" index (its .rgix payload checksum differs) — recompile"
+                    f" the plane with its snapshots"
                 )
 
     # -- construction --------------------------------------------------------

@@ -80,7 +80,7 @@ class IndexAnswer:
 class CompiledIndex:
     """A :class:`GeoDatabase` flattened into disjoint sorted intervals.
 
-    Internals (all immutable after construction):
+    Internals (immutable after construction, apart from the memo):
 
     * ``_starts`` — interval start addresses, strictly increasing,
       beginning at 0; interval *i* covers ``[_starts[i], _starts[i+1])``
@@ -90,7 +90,9 @@ class CompiledIndex:
       compile time);
     * ``_entries`` — ``(prefix_cidr, record_id)`` pairs, one per original
       database entry that actually answers some interval;
-    * ``_records`` — deduplicated :class:`GeoRecord` objects.
+    * ``_records`` — deduplicated :class:`GeoRecord` objects;
+    * ``_entry_answers`` — the per-entry :class:`IndexAnswer` memo behind
+      :meth:`entry_answer` (filled on first use, never changed after).
 
     The hot path deliberately avoids :mod:`array` storage: ``bisect`` over
     an ``array`` boxes a fresh ``int`` per comparison, which measurably
@@ -104,12 +106,12 @@ class CompiledIndex:
     __slots__ = (
         "name",
         "source_entries",
+        "checksum",
         "_starts",
         "_answers",
         "_entries",
         "_records",
-        "_interval_records",
-        "_interval_answers",
+        "_entry_answers",
         "probe",
         "probe_answer",
     )
@@ -129,22 +131,26 @@ class CompiledIndex:
             raise ValueError("interval table must start at address 0")
         self.name = name
         self.source_entries = source_entries
+        #: SHA-256 of this index's ``.rgix`` payload, set when the index
+        #: is saved or loaded (see :func:`repro.serve.snapshot.index_checksum`).
+        self.checksum: str | None = None
         self._starts = list(starts)
         self._answers = list(answers)
-        self._entries = tuple((str(prefix), int(rid)) for prefix, rid in entries)
+        self._entries = tuple(map(tuple, entries))
         self._records = tuple(records)
-        # Pre-resolved per-interval answers: a probe is then exactly one
-        # bisect plus one list indexing, no id→entry→record hops.
-        self._interval_records: list[GeoRecord | None] = [
-            self._records[self._entries[a][1]] if a >= 0 else None
-            for a in self._answers
-        ]
-        self._interval_answers: list[IndexAnswer | None] = [
-            IndexAnswer(prefix=self._entries[a][0], record=self._records[self._entries[a][1]])
-            if a >= 0
-            else None
-            for a in self._answers
-        ]
+        if self._answers and (
+            min(self._answers) < -1 or max(self._answers) >= len(self._entries)
+        ):
+            raise ValueError("answers reference entries outside the table")
+        record_ids = [rid for _, rid in self._entries]
+        if record_ids and (
+            min(record_ids) < 0 or max(record_ids) >= len(self._records)
+        ):
+            raise ValueError("entries reference records outside the table")
+        # Per-entry answers, built on first use: an index answers far
+        # fewer distinct entries per process lifetime than it loads, and
+        # boot should not pay for the rest (see entry_answer).
+        self._entry_answers: list[IndexAnswer | None] = [None] * len(self._entries)
 
         # The probes are bound as closures tuned for per-request cost:
         #
@@ -158,8 +164,12 @@ class CompiledIndex:
         #   valid address.
         #
         # Don't pass the defaults; they exist only to pre-bind the state.
-        shifted_records = [None, *self._interval_records]
-        shifted_answers = [None, *self._interval_answers]
+        # Entry -1 (no coverage) indexes the trailing None.
+        entry_records = [self._records[rid] for rid in record_ids]
+        entry_records.append(None)
+        shifted_records = [None]
+        shifted_records += map(entry_records.__getitem__, self._answers)
+        shifted_answers = [-1, *self._answers]
 
         def probe(
             addr: int,
@@ -175,12 +185,26 @@ class CompiledIndex:
             _bisect=bisect_right,
             _starts=self._starts,
             _answers=shifted_answers,
+            _entry_answer=self.entry_answer,
         ) -> IndexAnswer | None:
             """Raw prefix+record lookup on a pre-validated address integer."""
-            return _answers[_bisect(_starts, addr)]
+            entry_id = _answers[_bisect(_starts, addr)]
+            return _entry_answer(entry_id) if entry_id >= 0 else None
 
         self.probe = probe
         self.probe_answer = probe_answer
+
+    def entry_answer(self, entry_id: int) -> IndexAnswer:
+        """The :class:`IndexAnswer` for entry ``entry_id`` (``0 <=
+        entry_id < entry_count``), built on first use and then shared —
+        every probe of the entry, live or through an answer plane cell,
+        returns the same object."""
+        answer = self._entry_answers[entry_id]
+        if answer is None:
+            prefix, record_id = self._entries[entry_id]
+            answer = IndexAnswer(prefix=prefix, record=self._records[record_id])
+            self._entry_answers[entry_id] = answer
+        return answer
 
     # -- construction --------------------------------------------------------
 
@@ -289,6 +313,16 @@ class CompiledIndex:
     @property
     def interval_count(self) -> int:
         return len(self._starts)
+
+    @property
+    def entry_count(self) -> int:
+        """Distinct answering entries (valid ids for :meth:`entry_answer`)."""
+        return len(self._entries)
+
+    def entry_at(self, addr: int) -> int:
+        """The entry id answering a pre-validated address integer (−1 =
+        no coverage) — the answer plane's compile-time probe."""
+        return self._answers[bisect_right(self._starts, addr) - 1]
 
     def intervals(self) -> Iterator[tuple[int, int, int]]:
         """``(start, end, answer_id)`` triples covering the address space."""

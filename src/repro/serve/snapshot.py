@@ -45,6 +45,7 @@ from repro.serve.index import CompiledIndex
 __all__ = [
     "SNAPSHOT_SUFFIX",
     "SnapshotError",
+    "index_checksum",
     "load_index",
     "load_index_set",
     "save_index",
@@ -121,10 +122,24 @@ def _pack_payload(index: CompiledIndex) -> bytes:
     )
 
 
+def index_checksum(index: CompiledIndex) -> str:
+    """The SHA-256 (hex) of ``index``'s ``.rgix`` payload.
+
+    This is the content identity an answer plane binds to.  A loaded or
+    saved index already knows it; an index compiled in memory packs its
+    payload once to find out (the packing is deterministic, so the
+    digest equals the one :func:`save_index` would write).
+    """
+    if index.checksum is None:
+        index.checksum = hashlib.sha256(_pack_payload(index)).hexdigest()
+    return index.checksum
+
+
 def save_index(index: CompiledIndex, path: str | pathlib.Path) -> pathlib.Path:
     """Write ``index`` as one snapshot file and return its path."""
     path = pathlib.Path(path)
     payload = _pack_payload(index)
+    index.checksum = hashlib.sha256(payload).hexdigest()
     header = json.dumps(
         {
             "format": "repro-compiled-index",
@@ -133,7 +148,7 @@ def save_index(index: CompiledIndex, path: str | pathlib.Path) -> pathlib.Path:
             "source_entries": index.source_entries,
             "intervals": index.interval_count,
             "payload_bytes": len(payload),
-            "checksum_sha256": hashlib.sha256(payload).hexdigest(),
+            "checksum_sha256": index.checksum,
         },
         separators=(",", ":"),
         sort_keys=True,
@@ -235,16 +250,17 @@ def _load_index(
         starts = struct.unpack_from(f"<{count}I", payload, 0)
         answers = struct.unpack_from(f"<{count}i", payload, 4 * count)
         tail = json.loads(payload[8 * count :].decode("utf-8"))
-        entries = [(prefix, record_id) for prefix, record_id in tail["entries"]]
         records = [_record_from_row(row) for row in tail["records"]]
-        return CompiledIndex.from_parts(
+        index = CompiledIndex.from_parts(
             name=name,
             source_entries=int(header["source_entries"]),
             starts=starts,
             answers=answers,
-            entries=entries,
+            entries=tail["entries"],
             records=records,
         )
+        index.checksum = digest
+        return index
     except (
         struct.error,
         UnicodeDecodeError,

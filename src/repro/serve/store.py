@@ -48,7 +48,7 @@ watcher never retries a known-bad generation.
 
 Validation in :meth:`StoreWatcher.poll_once` is three gates, in cost
 order: digest verification + parse (the load itself), the engine's
-plane handshake (vendors / city range / quorum / interval counts —
+plane handshake (vendors / city range / quorum / index checksums —
 re-checked by :meth:`~repro.serve.engine.ServingEngine.swap`), and a
 **canary regression probe**: the candidate must keep per-vendor answer
 coverage over a fixed probe set within ``canary_max_drop`` of the
@@ -381,7 +381,9 @@ class SnapshotStore:
         if record.plane is not None:
             path = directory / str(record.plane["file"])
             self._verify_digest(generation, path, record.plane)
-            plane = load_plane(path, generation=generation)
+            plane = load_plane(
+                path, indexes=indexes, generation=generation
+            )
         if not indexes:
             raise StoreError(
                 f"generation {generation}: manifest lists no vendors"

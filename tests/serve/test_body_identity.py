@@ -4,13 +4,15 @@ The HTTP layer assembles serving bodies from per-record JSON fragments
 instead of dumping a payload dict.  These tests pin the result to the
 definition it replaced: every body must equal ``json.dumps(payload,
 sort_keys=True)`` of the payload dict the handlers used to build, on
-every serving path — healthy plane, live, one
-quarantined vendor, and a vendor missing at load time — and for
-covered, uncovered, disagreement, non-ASCII, and error addresses.
+every serving path — healthy plane (compiled, and loaded from disk
+with its cells decoded lazily), live, one quarantined vendor, and a
+vendor missing at load time — and for covered, uncovered,
+disagreement, non-ASCII, and error addresses.
 """
 
 import dataclasses
 import json
+import random
 import urllib.error
 import urllib.request
 
@@ -26,7 +28,10 @@ from repro.serve import (
     GeoServer,
     ServingEngine,
     compile_plane,
+    load_index_set,
+    load_plane,
     save_index_set,
+    save_plane,
 )
 from repro.serve.engine import ResiliencePolicy
 from repro.serve.http import _ANSWER_KEYS
@@ -120,8 +125,18 @@ def _missing(indexes, plane, tmp_path_factory):
     return engine
 
 
+def _loaded_plane(indexes, plane, tmp_path_factory):
+    # Indexes and plane read back from disk: every cell decodes lazily,
+    # on the first request that lands in it.
+    root = save_index_set(indexes, tmp_path_factory.mktemp("loaded"))
+    save_plane(plane, root / "plane.rgpl")
+    loaded = load_index_set(root)
+    return ServingEngine(loaded, plane=load_plane(root / "plane.rgpl", indexes=loaded))
+
+
 ENGINES = {
     "healthy-plane": _healthy,
+    "loaded-plane": _loaded_plane,
     "live": _live,
     "quarantined": _quarantined,
     "missing-vendor": _missing,
@@ -302,6 +317,41 @@ class TestBodyIdentity:
             assert body == expected_batch_body(engine, ips, trace_id)
 
         check()
+
+
+def test_loaded_lazy_plane_bodies_equal_the_compiled_planes(
+    exotic_indexes, exotic_plane, address_pools, tmp_path_factory
+):
+    """A freshly loaded plane (no cell decoded yet) and the compiled
+    plane it was saved from render byte-identical /lookup and /batch
+    bodies — prefix edges and /24 edges included."""
+    servers = [
+        GeoServer(engine, port=0, metrics=MetricsRegistry())
+        for engine in (
+            _healthy(exotic_indexes, exotic_plane, tmp_path_factory),
+            _loaded_plane(exotic_indexes, exotic_plane, tmp_path_factory),
+        )
+    ]
+    for server in servers:
+        server.start_background()
+    try:
+        edges, slash24, _ = address_pools
+        rng = random.Random(20160806)
+        ips = [str(parse_address(a)) for a in rng.sample(edges, 300) + slash24[:300]]
+        for ip in ips:
+            compiled, loaded = (
+                _fetch(server, f"/lookup?ip={ip}", "lazy-1")[2] for server in servers
+            )
+            assert loaded == compiled
+        for start in range(0, len(ips), 64):
+            data = json.dumps({"ips": ips[start : start + 64]}).encode("utf-8")
+            compiled, loaded = (
+                _fetch(server, "/batch", "lazy-2", data)[2] for server in servers
+            )
+            assert loaded == compiled
+    finally:
+        for server in servers:
+            server.stop()
 
 
 def test_fragment_memo_is_lazy_per_record_and_dies_with_the_generation(

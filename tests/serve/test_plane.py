@@ -10,19 +10,38 @@ the engine's compile-parameter handshake, and the degraded-bypass
 metrics.
 """
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
+from repro.geodb import GeoDatabase
 from repro.obs import MetricsRegistry
 from repro.serve import (
     AnswerPlane,
+    CompiledIndex,
     ServingEngine,
     SnapshotError,
     compile_plane,
+    load_index_set,
     load_plane,
     save_index_set,
     save_plane,
 )
 from repro.serve.engine import ResiliencePolicy
+
+
+def _with_one_city_changed(scenario, name):
+    """``name`` recompiled with one city-level record moved to a city
+    that does not exist — same prefixes, so the same intervals."""
+    entries = list(scenario.databases[name].entries())
+    position = next(i for i, e in enumerate(entries) if e.record.city is not None)
+    victim = entries[position]
+    entries[position] = dataclasses.replace(
+        victim, record=dataclasses.replace(victim.record, city="Elsewhere")
+    )
+    return CompiledIndex.compile(GeoDatabase(name, entries))
 
 
 @pytest.fixture(scope="module")
@@ -173,25 +192,49 @@ class TestEngineHandshake:
         with pytest.raises(ValueError, match="vendors"):
             ServingEngine(subset, plane=answer_plane)
 
-    def test_stale_plane_is_refused(self, compiled_indexes, answer_plane):
+    def test_stale_plane_is_refused(self, small_scenario, compiled_indexes):
         """A plane compiled over different snapshots (interval counts
         disagree) must not boot — it would serve the old answers."""
-        starts, cell_ids, cells = answer_plane.parts()
-        victim = answer_plane.names[0]
-        stale = AnswerPlane(
-            names=answer_plane.names,
-            vendor_intervals={
-                **answer_plane.vendor_intervals,
-                victim: answer_plane.vendor_intervals[victim] + 1,
-            },
-            starts=starts,
-            cell_ids=cell_ids,
-            cells=cells,
-            city_range_km=answer_plane.city_range_km,
-            quorum_min=answer_plane.quorum_min,
-        )
+        victim = sorted(compiled_indexes)[0]
+        entries = list(small_scenario.databases[victim].entries())[1:]
+        older = CompiledIndex.compile(GeoDatabase(victim, entries))
+        stale = compile_plane({**compiled_indexes, victim: older})
+        assert stale.vendor_intervals[victim] != compiled_indexes[victim].interval_count
         with pytest.raises(ValueError, match="recompile"):
             ServingEngine(compiled_indexes, plane=stale)
+
+    def test_plane_over_changed_content_is_refused(
+        self, small_scenario, compiled_indexes, answer_plane, tmp_path
+    ):
+        """Same intervals, one record's city changed: interval counts
+        match, so only the content binding can catch it — in memory (the
+        plane is bound to other index objects) and on disk (the .rgix
+        payload checksum differs)."""
+        changed = _with_one_city_changed(small_scenario, "NetAcuity")
+        assert changed.interval_count == compiled_indexes["NetAcuity"].interval_count
+        served = {**compiled_indexes, "NetAcuity": changed}
+        with pytest.raises(ValueError, match="recompile"):
+            ServingEngine(served, plane=answer_plane)
+
+        root = save_index_set(compiled_indexes, tmp_path / "set")
+        path = save_plane(answer_plane, root / "plane.rgpl")
+        loaded = load_plane(path)  # binds to the .rgix set beside it
+        with pytest.raises(ValueError, match="recompile"):
+            ServingEngine(served, plane=loaded)
+        save_index_set({"NetAcuity": changed}, root)
+        with pytest.raises(SnapshotError, match="recompile"):
+            load_plane(path)
+        with pytest.raises(SnapshotError, match="recompile"):
+            load_plane(path, indexes=served)
+
+    def test_equal_content_from_another_load_is_accepted(
+        self, compiled_indexes, answer_plane, tmp_path
+    ):
+        root = save_index_set(compiled_indexes, tmp_path)
+        plane = load_plane(save_plane(answer_plane, root / "plane.rgpl"))
+        engine = ServingEngine(load_index_set(root), plane=plane)
+        assert engine.plane_stats()["active"] is True
+        assert ServingEngine(compiled_indexes, plane=plane).lookup_plane("41.0.0.2")
 
     def test_compile_needs_at_least_one_index(self):
         with pytest.raises(ValueError):
@@ -259,8 +302,10 @@ class TestDegradedBypass:
 
 class TestPersistence:
     def test_roundtrip_preserves_every_interval_and_cell(
-        self, answer_plane, tmp_path, probe_addresses
+        self, compiled_indexes, answer_plane, tmp_path, probe_addresses
     ):
+        # With no indexes passed, the plane loads the .rgix set beside it.
+        save_index_set(compiled_indexes, tmp_path)
         path = save_plane(answer_plane, tmp_path / "plane.rgpl")
         loaded = load_plane(path)
         assert loaded.names == answer_plane.names
@@ -278,7 +323,9 @@ class TestPersistence:
         self, compiled_indexes, answer_plane, live_engine, tmp_path, probe_addresses
     ):
         path = save_plane(answer_plane, tmp_path / "plane.rgpl")
-        engine = ServingEngine(compiled_indexes, plane=load_plane(path))
+        engine = ServingEngine(
+            compiled_indexes, plane=load_plane(path, indexes=compiled_indexes)
+        )
         for address in probe_addresses[::41]:
             assert engine.lookup_outcome(address) == live_engine.lookup_outcome(
                 address
@@ -328,3 +375,76 @@ class TestConstruction:
         cells = answer_plane.parts()[2][:1]
         with pytest.raises(ValueError, match="outside"):
             AnswerPlane(("A",), {"A": 1}, [0], [7], cells)
+
+
+class TestLazyDecode:
+    """A loaded plane decodes no cell at load; each decodes on its first
+    probe, once, into a per-cell-id memo shared by every interval."""
+
+    @pytest.fixture()
+    def loaded(self, compiled_indexes, answer_plane, tmp_path):
+        path = save_plane(answer_plane, tmp_path / "plane.rgpl")
+        return load_plane(path, indexes=compiled_indexes)
+
+    def test_stats_are_complete_before_any_probe(
+        self, compiled_indexes, loaded, answer_plane
+    ):
+        assert loaded._cells.count(None) == loaded.cell_count  # nothing decoded
+        assert loaded.stats() == answer_plane.stats()
+        engine = ServingEngine(compiled_indexes, plane=loaded)
+        stats = engine.plane_stats()
+        assert (stats["cells"], stats["intervals"]) == (
+            answer_plane.cell_count,
+            answer_plane.interval_count,
+        )
+        assert loaded._cells.count(None) == loaded.cell_count
+
+    def test_parts_match_the_compiled_plane(self, loaded, answer_plane):
+        starts, cell_ids, _ = loaded.parts()
+        assert type(starts) is list and type(cell_ids) is list
+        assert loaded.parts()[:2] == answer_plane.parts()[:2]
+
+    def test_first_touch_decodes_one_cell_and_fills_its_slot(
+        self, loaded, answer_plane, probe_addresses
+    ):
+        address = probe_addresses[len(probe_addresses) // 2]
+        cell = loaded.lookup(address)
+        assert cell == answer_plane.lookup(address)
+        assert loaded.cell_count - loaded._cells.count(None) == 1
+        assert loaded.lookup(address) is cell
+        assert loaded.locate(0)[1] == 0
+
+    def test_concurrent_first_probes_share_one_cell(
+        self, loaded, answer_plane, probe_addresses
+    ):
+        addresses = probe_addresses[::53]
+        barrier = threading.Barrier(8)
+        results = []
+
+        def worker():
+            barrier.wait()
+            results.append([loaded.probe(addr) for addr in addresses])
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the decodes as finely as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [answer_plane.probe(addr) for addr in addresses]
+        assert len(results) == 8
+        for cells in results:
+            assert cells == expected
+            assert all(a is b for a, b in zip(cells, results[0]))
+
+    def test_cells_point_at_the_indexes_shared_answers(
+        self, compiled_indexes, loaded, probe_addresses
+    ):
+        for addr in probe_addresses[::101]:
+            for name, answer in loaded.probe(addr).answers.items():
+                assert answer is compiled_indexes[name].probe_answer(addr)
