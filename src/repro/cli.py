@@ -15,6 +15,8 @@ Commands:
 * ``compile`` — build a scenario and write its four databases as
   compiled-index snapshots (``*.rgix``) a server loads at boot, plus
   the precomputed cross-vendor answer plane (``plane.rgpl``);
+  ``compile --stream N`` compiles a streamed N-interface scale tier
+  (memory-bounded; 1M+ interfaces) instead of the materialized scenario;
 * ``serve`` — run the HTTP JSON geolocation service (from compiled
   snapshots, a snapshot store's current generation via ``--store``
   [optionally hot-reloading newly published generations with
@@ -26,13 +28,6 @@ Commands:
   release) and commits it as a new generation, ``list`` shows every
   generation with the live one starred, ``rollback`` points ``CURRENT``
   one good generation back;
-* ``replay`` — fire seeded Zipf traffic at a live server (open-loop, at
-  a target offered rate) and report achieved rps, coordinated-omission-
-  safe latency quantiles, error rate, and the server's own ``/statusz``
-  window, with optional ``--max-p99-ms`` / ``--max-error-rate`` gates
-  for CI.  ``compile --stream N`` compiles a streamed N-interface scale
-  tier (memory-bounded; 1M+ interfaces) instead of the materialized
-  scenario.
 * ``enrich`` — run the streaming enrichment firehose (synthetic
   traceroute/flow/access-log events at a target rate) through an
   in-process engine with whois fan-out and drift detection, and report
@@ -159,57 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stream", type=int, default=None, metavar="INTERFACES",
         help="compile a streamed INTERFACES-interface scale tier instead of"
              " the materialized scenario (memory-bounded; ignores --scale)",
-    )
-
-    replay_cmd = commands.add_parser(
-        "replay",
-        help="replay seeded Zipf traffic against a live server (open-loop,"
-             " coordinated-omission-safe)",
-    )
-    replay_cmd.add_argument(
-        "--url",
-        help="target server URL (default: compile the scenario and boot an"
-             " in-process server for the run)",
-    )
-    replay_cmd.add_argument(
-        "--snapshots", metavar="DIR",
-        help="draw the address pool from compiled snapshots in DIR"
-             " (required with --url; defaults to the in-process indexes)",
-    )
-    replay_cmd.add_argument(
-        "--rate", type=float, default=500.0, help="offered request rate (rps)"
-    )
-    replay_cmd.add_argument(
-        "--duration", type=float, default=5.0, help="run length in seconds"
-    )
-    replay_cmd.add_argument(
-        "--clients", type=int, default=4, help="concurrent keep-alive clients"
-    )
-    replay_cmd.add_argument(
-        "--zipf-s", type=float, default=1.1, dest="zipf_s",
-        help="Zipf popularity exponent (0 = uniform)",
-    )
-    replay_cmd.add_argument(
-        "--miss-fraction", type=float, default=0.0,
-        help="fraction of requests drawn from guaranteed-uncovered space",
-    )
-    replay_cmd.add_argument(
-        "--pool", type=int, default=None, metavar="N",
-        help="limit the popularity pool to N addresses",
-    )
-    replay_cmd.add_argument(
-        "--timeout", type=float, default=5.0, help="per-request timeout (s)"
-    )
-    replay_cmd.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    replay_cmd.add_argument(
-        "--max-p99-ms", type=float, default=None, metavar="MS",
-        help="exit 1 if schedule-relative p99 exceeds MS",
-    )
-    replay_cmd.add_argument(
-        "--max-error-rate", type=float, default=None, metavar="R",
-        help="exit 1 if the error rate exceeds R",
     )
 
     enrich_cmd = commands.add_parser(
@@ -591,112 +535,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(f"wrote {len(tier.indexes)} snapshots to {root}")
         return 0
-
-    if args.command == "replay":
-        from repro.loadgen import (
-            ReplayConfig,
-            WorkloadConfig,
-            ZipfWorkload,
-            covered_pool,
-            replay,
-        )
-
-        tracer = Tracer(listener=StageLogger()) if args.verbose else NOOP_TRACER
-        metrics = MetricsRegistry() if args.verbose else None
-        server = None
-        try:
-            if args.url:
-                if not args.snapshots:
-                    print(
-                        "error: --url needs --snapshots DIR for the address"
-                        " pool (the client cannot read the server's indexes)",
-                        file=sys.stderr,
-                    )
-                    return 1
-                from repro.serve.snapshot import SnapshotError, load_index_set
-
-                try:
-                    indexes = load_index_set(args.snapshots)
-                except (SnapshotError, ValueError) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-                url = args.url
-            else:
-                # Self-contained mode: compile the scenario and boot a
-                # server in-process, replay, then tear it down.
-                from repro.scenario.build import build_scenario
-                from repro.serve.engine import ServingEngine
-                from repro.serve.http import GeoServer
-                from repro.serve.index import CompiledIndex
-                from repro.serve.plane import compile_plane
-
-                scenario = build_scenario(
-                    seed=args.seed, scale=args.scale, tracer=tracer
-                )
-                indexes = {
-                    name: CompiledIndex.compile(database)
-                    for name, database in sorted(scenario.databases.items())
-                }
-                engine = ServingEngine(indexes, plane=compile_plane(indexes))
-                server = GeoServer(engine, metrics=metrics or MetricsRegistry())
-                server.start_background()
-                url = server.url
-                print(f"in-process server on {url}", file=sys.stderr)
-
-            workload = ZipfWorkload(
-                covered_pool(indexes),
-                WorkloadConfig(
-                    seed=args.seed,
-                    zipf_s=args.zipf_s,
-                    miss_fraction=args.miss_fraction,
-                    pool_limit=args.pool,
-                ),
-            )
-            try:
-                report = replay(
-                    url,
-                    workload.addresses(),
-                    ReplayConfig(
-                        rate=args.rate,
-                        duration_s=args.duration,
-                        clients=args.clients,
-                        timeout_s=args.timeout,
-                    ),
-                    metrics=metrics,
-                    tracer=tracer,
-                )
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-        finally:
-            if server is not None:
-                server.stop()
-
-        if args.json:
-            import json as _json
-
-            print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(report.render())
-        failed = False
-        if args.max_error_rate is not None and report.error_rate > args.max_error_rate:
-            print(
-                f"GATE FAILED: error rate {report.error_rate:.4f} >"
-                f" {args.max_error_rate}",
-                file=sys.stderr,
-            )
-            failed = True
-        if (
-            args.max_p99_ms is not None
-            and report.latency_ms["p99"] > args.max_p99_ms
-        ):
-            print(
-                f"GATE FAILED: p99 {report.latency_ms['p99']:.3f} ms >"
-                f" {args.max_p99_ms} ms",
-                file=sys.stderr,
-            )
-            failed = True
-        return 1 if failed else 0
 
     # Instrumentation is opt-in: --verbose, run --metrics, and trace all
     # need a recording tracer; everything else keeps the zero-cost no-op.

@@ -57,7 +57,6 @@ class EventConfig:
     zipf_s: float = 1.1
     #: Fraction of events addressed from guaranteed-uncovered space.
     miss_fraction: float = 0.0
-    pool_limit: int | None = None
     #: Relative weight of each kind in :data:`EVENT_KINDS` order.
     mix: tuple[float, ...] = (0.1, 0.6, 0.3)
 
@@ -76,7 +75,6 @@ class EventConfig:
             seed=self.seed,
             zipf_s=self.zipf_s,
             miss_fraction=self.miss_fraction,
-            pool_limit=self.pool_limit,
         )
 
 

@@ -1,26 +1,17 @@
-"""Deterministic load generation and open-loop replay for the serve stack.
+"""Deterministic Zipf request streams over a scenario's address pool.
 
-Two halves, composable and separately testable:
-
-* :mod:`repro.loadgen.workload` — a seeded Zipf popularity model over a
-  pool of addresses (plus a configurable miss fraction), producing the
-  same request stream for the same seed and config, forever;
-* :mod:`repro.loadgen.replay` — an open-loop, coordinated-omission-safe
-  replay driver that fires that stream at a live
-  :class:`~repro.serve.http.GeoServer` at a target offered rate and
-  reports what actually happened (achieved rps, latency quantiles,
-  errors, and the server's own ``/statusz`` view of the same window).
+:mod:`repro.loadgen.workload` is a seeded Zipf popularity model over a
+pool of addresses (plus a configurable miss fraction), producing the
+same request stream for the same seed and config, forever.  The
+streaming enrichment firehose draws its events from it; the one
+open-loop HTTP load driver is ``perfbench/httpload.py``.
 """
 
-from repro.loadgen.replay import ReplayConfig, ReplayReport, replay
 from repro.loadgen.workload import MISS_PREFIX, WorkloadConfig, ZipfWorkload, covered_pool
 
 __all__ = [
     "MISS_PREFIX",
-    "ReplayConfig",
-    "ReplayReport",
     "WorkloadConfig",
     "ZipfWorkload",
     "covered_pool",
-    "replay",
 ]

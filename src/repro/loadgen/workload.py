@@ -1,7 +1,7 @@
 """Seeded Zipf workloads over a scenario's address pool.
 
 Serving traffic is never uniform: a few prefixes dominate (resolvers,
-popular eyeball networks), most are cold.  The replay harness therefore
+popular eyeball networks), most are cold.  Synthetic traffic therefore
 draws addresses from a Zipf popularity model — rank *r* is requested
 with probability proportional to ``(r + 1) ** -s`` — over a pool taken
 from the scenario (interface addresses, or covered interval starts of
@@ -9,7 +9,7 @@ the compiled indexes).  Two design points matter for benchmarking:
 
 * **Determinism.** Everything is driven by one ``random.Random(seed)``:
   the popularity permutation *and* the draw stream.  The same pool,
-  seed, and config produce the identical request sequence — replay runs
+  seed, and config produce the identical request sequence — load runs
   are reproducible and regression-comparable.
 * **Popularity is decoupled from address order.** The pool is shuffled
   before ranks are assigned, so "hot" addresses are spread across the
@@ -44,7 +44,7 @@ _MISS_SPAN = 1 << 24
 
 @dataclass(frozen=True, slots=True)
 class WorkloadConfig:
-    """Shape of a replay workload (the popularity model, not the rate)."""
+    """Shape of a workload (the popularity model, not the rate)."""
 
     seed: int = 2016
     #: Zipf exponent: 0 = uniform, ~1 = classic web-trace skew.
@@ -52,8 +52,6 @@ class WorkloadConfig:
     #: Fraction of requests drawn from :data:`MISS_PREFIX` instead of
     #: the pool — guaranteed-uncovered lookups.
     miss_fraction: float = 0.0
-    #: Truncate the (shuffled) pool to this many addresses, if set.
-    pool_limit: int | None = None
 
     def __post_init__(self) -> None:
         if self.zipf_s < 0:
@@ -62,8 +60,6 @@ class WorkloadConfig:
             raise ValueError(
                 f"miss_fraction must be in [0, 1]: {self.miss_fraction!r}"
             )
-        if self.pool_limit is not None and self.pool_limit <= 0:
-            raise ValueError(f"pool_limit must be positive: {self.pool_limit!r}")
 
 
 class ZipfWorkload:
@@ -80,8 +76,6 @@ class ZipfWorkload:
             raise ValueError("workload pool must not be empty")
         rng = random.Random(config.seed)
         rng.shuffle(addresses)
-        if config.pool_limit is not None:
-            addresses = addresses[: config.pool_limit]
         self.pool: tuple[str, ...] = tuple(addresses)
         # Cumulative (r+1)^-s mass: one draw is rng.random() + a bisect.
         cumulative: list[float] = []
@@ -137,8 +131,10 @@ def covered_pool(indexes, per_vendor: int = 4096) -> list[int]:
 
     A spread of starts from every vendor's index whose interval actually
     has an answer, so Zipf traffic exercises real coverage (misses are a
-    separate, explicit workload knob).  Shared by the replay and
-    enrichment CLIs so both harnesses offer the same traffic shape.
+    separate, explicit workload knob).  The enrichment CLI draws its
+    firehose from this pool; the open-loop HTTP checks (the CI load step,
+    ``benchmarks/test_http_open_loop.py``) draw their ``/lookup`` traffic
+    from it.
     """
     addresses: set[int] = set()
     for index in indexes.values():

@@ -71,12 +71,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.core.majority import DEFAULT_CITY_RANGE_KM, majority_of_records
 from repro.geo.coordinates import GeoPoint
-from repro.geodb.database import GeoDatabase
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.errors import NoHealthyVendors, ServeError, VendorError
 from repro.serve.index import CompiledIndex, IndexAnswer
-from repro.serve.snapshot import load_index_set
 
 if TYPE_CHECKING:  # plane.py imports this module
     from repro.serve.plane import PlaneAnswer
@@ -326,6 +324,12 @@ class ServingEngine:
         generation_id: int = 0,
         generation_source: str = "boot",
     ):
+        """Serve ``indexes`` (e.g. ``load_index_set(directory)``).
+
+        ``expected=[names]`` pins the vendor set: vendors named there but
+        absent from ``indexes`` are served as statically quarantined
+        (every answer flagged degraded) instead of silently dropped.
+        """
         if batch_threshold < 1:
             raise ValueError(f"batch_threshold must be positive: {batch_threshold!r}")
         if max_workers < 1:
@@ -440,33 +444,6 @@ class ServingEngine:
                     f" index (its .rgix payload checksum differs) — recompile"
                     f" the plane with its snapshots"
                 )
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_databases(
-        cls, databases: Mapping[str, GeoDatabase], **kwargs
-    ) -> "ServingEngine":
-        """Compile every database and serve the compiled set."""
-        return cls(
-            {name: CompiledIndex.compile(db) for name, db in databases.items()},
-            **kwargs,
-        )
-
-    @classmethod
-    def from_scenario(cls, scenario, **kwargs) -> "ServingEngine":
-        """Serve a built scenario's four vendor snapshots."""
-        return cls.from_databases(scenario.databases, **kwargs)
-
-    @classmethod
-    def from_snapshot_dir(cls, directory, **kwargs) -> "ServingEngine":
-        """Serve compiled snapshots written by ``repro compile``.
-
-        ``expected=[names]`` pins the vendor set: vendors named there but
-        absent on disk are served as statically quarantined (every
-        answer flagged degraded) instead of silently dropped.
-        """
-        return cls(load_index_set(directory), **kwargs)
 
     # -- generation lifecycle ------------------------------------------------
 

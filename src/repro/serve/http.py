@@ -199,7 +199,7 @@ def _read_head(rfile) -> _Head:
 # %-format + .encode() each — and, worse, flushes the header block and the
 # body as *two* socket writes.  Under keep-alive the second small write
 # can sit behind Nagle waiting on the peer's delayed ACK (~40 ms observed
-# in replay), turning sub-ms service into tens of ms on the wire.  The
+# under open-loop load), turning sub-ms service into tens of ms on the wire.  The
 # serving path therefore assembles the whole response head from
 # precomputed byte fragments — status+Server lines cached per status
 # code, the Date line re-rendered at most once per second — and sends

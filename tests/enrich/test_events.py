@@ -1,5 +1,8 @@
 """The synthetic firehose: deterministic, well-shaped, restartable."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.enrich import EVENT_KINDS, EventConfig, EventSource
@@ -10,6 +13,17 @@ def test_same_seed_same_stream(event_pool):
     a = EventSource(event_pool, EventConfig(seed=42))
     b = EventSource(event_pool, EventConfig(seed=42))
     assert [e.to_dict() for e in a.take(500)] == [e.to_dict() for e in b.take(500)]
+
+
+def test_stream_bytes_are_pinned():
+    """The firehose is a pure function of (pool, config): a config
+    refactor must not move a single byte of the event stream."""
+    pool = [f"10.{i // 256}.{i % 256}.1" for i in range(3000)]
+    events = EventSource(pool, EventConfig(seed=2016, miss_fraction=0.05)).take(2000)
+    blob = json.dumps([e.to_dict() for e in events], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "3d444b313f8e72fa0305d352c400cc8e52e181df234f60e539d82232e13aef87"
+    )
 
 
 def test_stream_restarts_from_event_zero(event_pool):

@@ -275,7 +275,7 @@ class TestSnapshotCells:
             CHAOS_SEED, [FaultSpec(FaultKind.INDEX_MISSING, vendor=victim)]
         )
         injector.sabotage_snapshots(root)
-        engine = ServingEngine.from_snapshot_dir(root, expected=sorted(compiled_indexes))
+        engine = ServingEngine(load_index_set(root), expected=sorted(compiled_indexes))
         assert engine.degraded
         assert victim in engine.vendor_names()
         assert engine.health_snapshot()[victim]["state"] == "missing"

@@ -98,13 +98,6 @@ class TestValidation:
             WorkloadConfig(zipf_s=-0.1)
         with pytest.raises(ValueError, match="miss_fraction"):
             WorkloadConfig(miss_fraction=1.5)
-        with pytest.raises(ValueError, match="pool_limit"):
-            WorkloadConfig(pool_limit=0)
-
-    def test_pool_limit_truncates(self):
-        workload = ZipfWorkload(POOL, WorkloadConfig(seed=2, pool_limit=10))
-        assert len(workload.pool) == 10
-        assert set(workload.take(2_000)) <= set(workload.pool)
 
     def test_negative_take_rejected(self):
         with pytest.raises(ValueError, match="count"):

@@ -118,8 +118,8 @@ def _missing(indexes, plane, tmp_path_factory):
     root = save_index_set(indexes, tmp_path_factory.mktemp("partial"))
     victim = sorted(indexes)[0]
     (root / f"{victim}.rgix").unlink()
-    engine = ServingEngine.from_snapshot_dir(
-        root, expected=sorted(indexes), plane=plane
+    engine = ServingEngine(
+        load_index_set(root), expected=sorted(indexes), plane=plane
     )
     assert engine.vendor_names()[-1] == victim
     return engine

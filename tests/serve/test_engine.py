@@ -147,7 +147,12 @@ class TestBatch:
 
 class TestConsensus:
     def test_majority_wins_and_disagreement_is_flagged(self):
-        engine = ServingEngine.from_databases(three_vendor_databases())
+        engine = ServingEngine(
+            {
+                name: CompiledIndex.compile(database)
+                for name, database in three_vendor_databases().items()
+            }
+        )
         consensus = engine.consensus_of(engine.lookup_outcome("198.51.100.7"))
         assert consensus.country == "US"
         assert consensus.country_votes == 2

@@ -51,23 +51,32 @@ class TestEndpoints:
         assert set(body["databases"]) == set(small_scenario.databases)
 
     def test_lookup_reports_answers_and_consensus(self, server, small_scenario):
-        address = str(small_scenario.ark_dataset.addresses[0])
-        status, body = get(server, f"/lookup?ip={address}")
-        assert status == 200
-        assert body["ip"] == address
-        assert set(body["answers"]) == set(small_scenario.databases)
-        for name, database in small_scenario.databases.items():
-            record = database.lookup(address)
-            answer = body["answers"][name]
-            if record is None:
-                assert answer is None
-            else:
-                assert answer["country"] == record.country
-                assert answer["resolution"] == record.resolution.value
-                assert "prefix" in answer
-        consensus = body["consensus"]
-        assert {"country", "voters", "country_disagreement",
-                "city_disagreement"} <= set(consensus)
+        errors = server.metrics.counter_total("serve.errors")
+        # An Ark interface, then addresses from MISS_PREFIX (240.0.0.0/8),
+        # which no vendor covers: a miss is a 200 with every answer null.
+        covered = str(small_scenario.ark_dataset.addresses[0])
+        uncovered = ["240.0.0.1", "240.17.3.9", "240.255.255.254"]
+        for address in [covered, *uncovered]:
+            status, body = get(server, f"/lookup?ip={address}")
+            assert status == 200
+            assert body["ip"] == address
+            assert set(body["answers"]) == set(small_scenario.databases)
+            for name, database in small_scenario.databases.items():
+                record = database.lookup(address)
+                answer = body["answers"][name]
+                if record is None:
+                    assert answer is None
+                else:
+                    assert answer["country"] == record.country
+                    assert answer["resolution"] == record.resolution.value
+                    assert "prefix" in answer
+            consensus = body["consensus"]
+            assert {"country", "voters", "country_disagreement",
+                    "city_disagreement"} <= set(consensus)
+            if address in uncovered:
+                assert set(body["answers"].values()) == {None}
+        # Uncovered traffic is not a serving error.
+        assert server.metrics.counter_total("serve.errors") == errors
 
     def test_batch_preserves_order_and_inlines_bad_addresses(
         self, server, small_scenario
@@ -194,16 +203,30 @@ class TestTelemetry:
         finally:
             server.stop()
 
-    def test_statusz_reports_rolling_windows(self, server):
-        get(server, "/lookup?ip=41.0.0.2")
-        _, body = get(server, "/statusz")
+    def test_statusz_reports_rolling_windows(self, compiled_indexes):
+        # A fresh server, so the 10s window holds exactly these lookups.
+        server = GeoServer(
+            ServingEngine(compiled_indexes), port=0, metrics=MetricsRegistry()
+        )
+        server.start_background()
+        try:
+            sent = 40
+            for i in range(sent):
+                get(server, f"/lookup?ip=41.0.{i}.2")
+            _, body = get(server, "/statusz")
+        finally:
+            server.stop()
         windows = body["windows"]
         assert {"aliases", "rates"} <= set(windows)
         assert windows["aliases"]["requests"]["10s"]["total"] >= 1
         for span in ("10s", "60s"):
             assert set(windows["rates"][span]) == {
                 "rps", "error_rate", "plane_hit_ratio"}
-        assert windows["rates"]["10s"]["rps"] > 0
+        rates = windows["rates"]["10s"]
+        assert rates["rps"] > 0
+        assert rates["error_rate"] == 0.0
+        # The server's window total (rps × 10) agrees with the client.
+        assert abs(rates["rps"] * 10.0 - sent) <= 0.25 * sent, (rates, sent)
 
     def test_statusz_histograms_carry_quantiles(self, server):
         get(server, "/lookup?ip=41.0.0.2")

@@ -281,8 +281,8 @@ class TestDegradedBypass:
         victim = sorted(compiled_indexes)[0]
         (root / f"{victim}.rgix").unlink()
         metrics = MetricsRegistry()
-        engine = ServingEngine.from_snapshot_dir(
-            root,
+        engine = ServingEngine(
+            load_index_set(root),
             expected=sorted(compiled_indexes),
             metrics=metrics,
             plane=answer_plane,

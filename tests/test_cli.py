@@ -333,27 +333,6 @@ class TestSnapshotCommand:
         }
         assert load_plane(target / "plane.rgpl").interval_count > 0
 
-    def test_replay_in_process(self, capsys):
-        assert (
-            main(
-                ARGS
-                + [
-                    "replay",
-                    "--rate", "120",
-                    "--duration", "1",
-                    "--clients", "2",
-                    "--json",
-                    "--max-error-rate", "0",
-                ]
-            )
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["requests"] == 120
-        assert report["errors"] == 0
-        assert report["server"]["rates"]["10s"]["error_rate"] == 0.0
-        assert report["latency_ms"]["p99"] > 0.0
-
     def test_enrich_in_process(self, capsys):
         assert (
             main(
@@ -401,64 +380,3 @@ class TestSnapshotCommand:
             == 1
         )
         assert "GATE FAILED" in capsys.readouterr().err
-
-    def test_replay_gate_failure_exits_1(self, capsys):
-        assert (
-            main(
-                ARGS
-                + [
-                    "replay",
-                    "--rate", "40",
-                    "--duration", "0.5",
-                    "--max-p99-ms", "0.000001",
-                ]
-            )
-            == 1
-        )
-        assert "GATE FAILED" in capsys.readouterr().err
-
-    def test_replay_url_requires_snapshots(self, capsys):
-        assert main(["replay", "--url", "http://127.0.0.1:1"]) == 1
-        assert "--snapshots" in capsys.readouterr().err
-
-    def test_replay_against_snapshots_url(self, tmp_path, capsys):
-        """Pool from compiled snapshots, server booted here in-process —
-        the CI replay job's client path without the subprocess."""
-        target = tmp_path / "snapshots"
-        assert main(ARGS + ["compile", str(target)]) == 0
-        capsys.readouterr()
-
-        from repro.serve import (
-            CompiledIndex,
-            GeoServer,
-            ServingEngine,
-            load_index_set,
-            load_plane,
-        )
-
-        engine = ServingEngine(
-            load_index_set(target), plane=load_plane(target / "plane.rgpl")
-        )
-        server = GeoServer(engine)
-        server.start_background()
-        try:
-            assert (
-                main(
-                    [
-                        "--seed", "5",
-                        "replay",
-                        "--url", server.url,
-                        "--snapshots", str(target),
-                        "--rate", "80",
-                        "--duration", "1",
-                        "--max-error-rate", "0",
-                        "--max-p99-ms", "1000",
-                    ]
-                )
-                == 0
-            )
-        finally:
-            server.stop()
-        out = capsys.readouterr().out
-        assert "achieved" in out
-        assert "server 10s window" in out
