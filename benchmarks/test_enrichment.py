@@ -1,14 +1,15 @@
 """Sustained enrichment firehose at bench scale, with regression gates.
 
-The replay benchmark measures the serving stack from *outside* (HTTP
-round trips); this one measures the streaming consumer the ISSUE-10
-tentpole added: a paced synthetic firehose through the full
-batch-lookup → consensus → whois → drift pipeline, in-process.  The
-``enrichment`` block of ``BENCH_pipeline.json`` records sustained
-events/s, end-to-end event latency quantiles, queue high-water marks,
-and shed/drift counts, gated so a regression in any stage (batching,
-fan-out, reordering, detection) fails the run rather than quietly
-shifting the trajectory.
+``perfbench/`` measures the serving stack over HTTP and the firehose
+out of process; this one records the streaming consumer in-process at
+bench scale: a paced synthetic firehose through the one-stage
+batch-lookup → whois → consensus → drift pipeline.  The ``enrichment``
+block of ``BENCH_pipeline.json`` records sustained events/s, end-to-end
+event latency quantiles, the number of batches the stage took, the
+in-hand batch census, and shed/drift counts, gated so a regression in
+any step (natural batching, whois, detection) — or a timer holding
+events back — fails the run rather than quietly shifting the
+trajectory.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from benchmarks.conftest import BENCH_SEED
 #: quarter more so the gate tests headroom, not the exact boundary.
 RATE_EPS = 2500.0
 DURATION_S = 10.0
-WORKERS = 2
 
 
 def test_enrichment_firehose_profile(scenario, record_perf):
@@ -42,7 +42,7 @@ def test_enrichment_firehose_profile(scenario, record_perf):
     pipeline = EnrichmentPipeline(
         engine,
         whois=scenario.internet.whois,
-        config=EnrichConfig(whois_workers=WORKERS, overload="block"),
+        config=EnrichConfig(overload="block"),
         metrics=MetricsRegistry(),
     )
     report = pipeline.run(source.events(), rate=RATE_EPS, duration_s=DURATION_S)
@@ -50,7 +50,6 @@ def test_enrichment_firehose_profile(scenario, record_perf):
     section = report.to_dict()
     section["rate_eps"] = RATE_EPS
     section["duration_s_target"] = DURATION_S
-    section["reorder_high_water"] = pipeline.stats()["reorder_high_water"]
     record_perf("enrichment", section)
 
     # Regression gates: the acceptance criteria, asserted.
@@ -69,9 +68,12 @@ def test_enrichment_firehose_profile(scenario, record_perf):
             queue_stats,
         )
         assert queue_stats["rejected"] == 0, (name, queue_stats)
-    # End-to-end p99 event latency: micro-batching plus fan-out should
-    # stay well under a tenth of a second per event at bench scale.
+    # End-to-end event latency: the stage takes an event as soon as it is
+    # queued, so the median stays far below a millisecond or two, and
+    # the p99 well under a tenth of a second at bench scale.
+    assert report.latency_ms["p50"] <= 2.0, report.latency_ms
     assert report.latency_ms["p99"] <= 100.0, report.latency_ms
+    assert 0 < report.batches <= expected
     # The detector saw every event and never suppressed on a healthy run.
     assert report.drift["inspected"] == expected
     assert report.drift["suppressed"] == 0

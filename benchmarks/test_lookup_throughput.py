@@ -7,18 +7,25 @@ engines over the scenario's Ark interface addresses (the exact workload
 in ``BENCH_pipeline.json``, so the perf trajectory tracks the hot path
 itself rather than only stage wall-times.  The serving engine's live
 request path and the precomputed cross-vendor answer plane are timed
-next to the raw indexes, with the plane gated at 5x over the live path.
+next to the raw indexes, with the plane gated at 5x over the live path
+and the telemetry overhead at 1.15x.  Both gates are ratios of two
+timings on a shared machine, so each is taken ``SAMPLES`` times,
+every sample is recorded, and the gate asserts on the median.
 """
 
 from __future__ import annotations
 
 import time
+from statistics import median
 
 from repro.obs import MetricsRegistry
 from repro.serve import CompiledIndex, ServingEngine, compile_plane
 
 #: Enough probes for stable timing even at small bench scales.
 MIN_PROBES = 200_000
+
+#: Paired samples behind each gated ratio; the gate reads their median.
+SAMPLES = 5
 
 
 def best_of(runs: int, probe, addresses) -> float:
@@ -30,6 +37,22 @@ def best_of(runs: int, probe, addresses) -> float:
             probe(address)
         best = min(best, time.perf_counter() - started)
     return best
+
+
+def paired_samples(slow, fast, addresses, *, slow_runs=5, fast_runs=5):
+    """``SAMPLES`` back-to-back ``(slow_s, fast_s)`` pass-time pairs; odd
+    samples time the fast side first, so neither side always runs
+    second."""
+    pairs = []
+    for sample in range(SAMPLES):
+        if sample % 2:
+            fast_s = best_of(fast_runs, fast, addresses)
+            slow_s = best_of(slow_runs, slow, addresses)
+        else:
+            slow_s = best_of(slow_runs, slow, addresses)
+            fast_s = best_of(fast_runs, fast, addresses)
+        pairs.append((slow_s, fast_s))
+    return pairs
 
 
 def test_lookup_throughput(scenario, record_perf):
@@ -69,11 +92,6 @@ def test_lookup_throughput(scenario, record_perf):
     # nothing is broken — the answer should be "a dict and a dataclass".
     sample = addresses  # one pass, deduplicated
     live_engine = ServingEngine(indexes)
-    engine_s = best_of(3, live_engine.lookup_outcome, sample)
-    section["engine"] = {
-        "lookups": len(sample),
-        "engine_ns_per_lookup": round(engine_s / len(sample) * 1e9, 1),
-    }
 
     # The precomputed cross-vendor answer plane: the healthy path becomes
     # one bisect over the merged boundary array plus a cell read, with the
@@ -90,13 +108,23 @@ def test_lookup_throughput(scenario, record_perf):
         outcome = plane_engine.lookup_outcome(address)
         assert outcome == live
         assert plane_engine.consensus_of(outcome) == live_engine.consensus_of(live)
-    plane_s = best_of(5, plane_engine.lookup_plane, sample)
-    plane_speedup = engine_s / plane_s
+    pairs = paired_samples(
+        live_engine.lookup_outcome, plane_engine.lookup_plane, sample, slow_runs=3
+    )
+    engine_s = median([engine for engine, _ in pairs])
+    plane_s = median([plane_pass for _, plane_pass in pairs])
+    plane_speedups = [engine / plane_pass for engine, plane_pass in pairs]
+    plane_speedup = median(plane_speedups)
+    section["engine"] = {
+        "lookups": len(sample),
+        "engine_ns_per_lookup": round(engine_s / len(sample) * 1e9, 1),
+    }
     section["plane"] = {
         "intervals": plane.interval_count,
         "cells": plane.cell_count,
         "plane_ns_per_lookup": round(plane_s / len(sample) * 1e9, 1),
         "speedup_vs_engine": round(plane_speedup, 2),
+        "speedup_samples": [round(speedup, 2) for speedup in plane_speedups],
     }
 
     # Telemetry overhead: the instrumented healthy path (plane hit with a
@@ -109,26 +137,32 @@ def test_lookup_throughput(scenario, record_perf):
         assert instrumented.lookup_outcome(address) == live_engine.lookup_outcome(
             address
         )
-    bare_s = best_of(5, plane_engine.lookup_outcome, sample)
-    instrumented_s = best_of(5, instrumented.lookup_outcome, sample)
-    overhead = instrumented_s / bare_s
+    pairs = paired_samples(
+        instrumented.lookup_outcome, plane_engine.lookup_outcome, sample
+    )
+    instrumented_s = median([instrumented_pass for instrumented_pass, _ in pairs])
+    bare_s = median([bare for _, bare in pairs])
+    overheads = [instrumented_pass / bare for instrumented_pass, bare in pairs]
+    overhead = median(overheads)
     section["telemetry"] = {
         "plane_outcome_ns_per_lookup": round(bare_s / len(sample) * 1e9, 1),
         "instrumented_ns_per_lookup": round(
             instrumented_s / len(sample) * 1e9, 1
         ),
         "overhead_ratio": round(overhead, 3),
+        "overhead_samples": [round(ratio, 3) for ratio in overheads],
     }
 
     record_perf("lookup_throughput", section)
 
-    # The plane exists to close the engine/index gap: anything under 5x
+    # The plane exists to close the engine/index gap: a median under 5x
     # means per-request Python is back on the healthy path.
-    assert plane_speedup >= 5.0, (plane_s, engine_s)
+    assert plane_speedup >= 5.0, plane_speedups
 
     # The observability contract: metrics on the healthy plane path cost
-    # one cell increment, bounded at 15% over the uninstrumented path.
-    assert overhead <= 1.15, (instrumented_s, bare_s)
+    # one cell increment, a median bounded at 15% over the
+    # uninstrumented path.
+    assert overhead <= 1.15, overheads
 
     # The whole point of compiling: faster on every table, and measurably
     # faster overall.  The margin is thinnest where a table is /32-dense

@@ -30,7 +30,7 @@ Commands:
   one good generation back;
 * ``enrich`` — run the streaming enrichment firehose (synthetic
   traceroute/flow/access-log events at a target rate) through an
-  in-process engine with whois fan-out and drift detection, and report
+  in-process engine with whois and drift detection, and report
   sustained events/s, end-to-end latency quantiles, queue high-water
   marks, shed counts, and drift-alert totals, with optional
   ``--max-p99-ms`` / ``--max-shed`` gates for CI.
@@ -176,19 +176,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="overload policy when the event queue fills",
     )
     enrich_cmd.add_argument(
-        "--workers", type=int, default=2, help="whois worker threads"
-    )
-    enrich_cmd.add_argument(
         "--batch-size", type=int, default=64, dest="batch_size",
-        help="micro-batch size for engine lookups",
-    )
-    enrich_cmd.add_argument(
-        "--linger-ms", type=float, default=5.0, dest="linger_ms",
-        help="max time the oldest event waits for its batch to fill",
+        help="most queued events taken into one engine batch lookup",
     )
     enrich_cmd.add_argument(
         "--queue", type=int, default=2048,
-        help="event/done queue capacity (bounds memory and latency)",
+        help="event queue capacity (bounds memory and latency)",
     )
     enrich_cmd.add_argument(
         "--zipf-s", type=float, default=1.1, dest="zipf_s",
@@ -593,10 +586,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             whois=scenario.internet.whois,
             config=EnrichConfig(
                 batch_size=args.batch_size,
-                linger_ms=args.linger_ms,
                 event_queue=args.queue,
-                done_queue=args.queue,
-                whois_workers=args.workers,
                 overload=args.policy,
             ),
             metrics=MetricsRegistry(),

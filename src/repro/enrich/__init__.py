@@ -2,8 +2,8 @@
 
 ``repro.enrich`` turns the one-shot lookup story into a streaming one —
 a seeded synthetic event source (:mod:`repro.enrich.events`), a
-micro-batching, whois-fanning, order-restoring pipeline with explicit
-overload policies (:mod:`repro.enrich.pipeline`), and a live drift
+naturally batching single-stage pipeline with explicit overload
+policies (:mod:`repro.enrich.pipeline`), and a live drift
 detector holding every vendor against the §5.1 consensus
 (:mod:`repro.enrich.drift`).
 """

@@ -80,7 +80,7 @@ class DriftDetector:
     counting but statelessly judging.
 
     :meth:`inspect` is called once per enriched event, in input order
-    (the pipeline's emitter owns that ordering).  Counters and rolling
+    (the pipeline's stage owns that ordering).  Counters and rolling
     windows lock internally so ``stats()`` can be scraped concurrently.
     """
 
@@ -163,10 +163,30 @@ class DriftDetector:
                     )
         return alerts
 
-    def inspect(self, seq: int, outcome, consensus) -> tuple[DriftAlert, ...]:
+    def cell_verdicts(self, memo: dict) -> dict:
+        """This detector's table of per-cell verdicts inside ``memo``,
+        a :meth:`~repro.serve.engine.ServingEngine.generation_memo`.
+
+        Living in the generation's memo bounds the table by the plane's
+        cell count and drops it with the generation, so a hot swap
+        leaves no entry pinning a cell of the old plane.
+        """
+        return memo.setdefault(("drift.cells", self.city_range_km), {})
+
+    def inspect(
+        self, seq: int, outcome, consensus, cells: dict
+    ) -> tuple[DriftAlert, ...]:
         """Alerts for one event — or ``()`` with a suppression count when
         the engine served it degraded (quarantine must not read as
-        drift)."""
+        drift).
+
+        ``cells`` (from :meth:`cell_verdicts`, or any dict) memoizes the
+        judgement of a plane outcome per cell: every address in a cell
+        has the same answers and the same consensus (``consensus`` must
+        be the engine's ``consensus_of(outcome)``), so only ``seq`` and
+        ``address`` differ between its alerts.  Live and degraded
+        outcomes carry no cell and are judged afresh.
+        """
         with self._lock:
             self.inspected += 1
         if outcome.degraded or consensus.degraded:
@@ -177,7 +197,24 @@ class DriftDetector:
             return ()
         if not consensus.quorum:
             return ()
-        alerts = self._judge(seq, outcome, consensus)
+        cell = outcome.cell
+        if cell is None:
+            alerts = self._judge(seq, outcome, consensus)
+        else:
+            # Keyed by identity; the entry holds the cell, so its id
+            # cannot be reused while the entry exists.
+            entry = cells.get(id(cell))
+            if entry is None:
+                templates = tuple(
+                    (alert.vendor, alert.kind, alert.observed, alert.expected,
+                     alert.distance_km)
+                    for alert in self._judge(seq, outcome, consensus)
+                )
+                entry = cells[id(cell)] = (cell, templates)
+            if not entry[1]:
+                return ()
+            address = str(outcome.address)
+            alerts = [DriftAlert(seq, address, *fields) for fields in entry[1]]
         if alerts:
             self._record(alerts)
         return tuple(alerts)

@@ -1,45 +1,40 @@
 """The streaming enrichment pipeline: firehose in, enriched events out.
 
-Topology — three stages joined by bounded queues::
+Topology — one bounded queue and one stage thread::
 
-      submit() ──▶ [event queue] ──▶ batcher ──▶ [work queue]
-                                                     │ (micro-batch →
-                                                     │  engine.outcome_batch)
-                       whois workers (K) ◀───────────┘
-                              │
-                              ▼
-                       [done queue] ──▶ emitter (reorder) ──▶ sink
-                                                │
-                                                └─▶ drift detector
+      submit() ──▶ [event queue] ──▶ stage ──▶ sink
+                                      │ take what has queued (≤ batch_size)
+                                      │ → engine.outcome_batch
+                                      └ → whois → consensus → drift,
+                                          per event, in admission order
 
-The batcher micro-batches by *size and linger*: a batch flushes when it
-reaches ``batch_size`` or when its oldest event has waited ``linger_ms``,
-whichever first — throughput batching that cannot stall a trickle.  The
-whois fan-out runs K workers so registry latency overlaps lookup latency;
-the emitter reassembles results into admission order before anything is
-observable, so concurrency is an implementation detail of the middle.
+**Natural batching.**  The stage blocks for the first queued event, then
+takes whatever else has queued behind it, up to ``batch_size`` — there
+is no linger timer.  An idle pipeline handles a lone event at once, as a
+batch of one; under load, events queue while the previous batch
+resolves, so batches grow exactly when the arrival rate makes them pay.
 
-**Overload is an explicit policy, only at admission.**  Internal stages
-always block on their downstream queue (that is the backpressure path —
-a slow whois pool backs up into the batcher and then into ``submit``).
-What happens when the *event queue* is full is the caller's choice:
-``block`` makes ``submit`` wait (lossless), ``shed`` makes it refuse and
-count (bounded latency).  Every event is accounted exactly once:
-``submitted == enriched + shed`` is an invariant the soak suite asserts.
+**One thread does the work.**  Engine, consensus, the in-memory whois
+registry and drift are CPU-bound Python that the GIL runs one thread at
+a time, so a hand-off between threads would only add a wake-up per
+event; whois runs inline on the stage thread, event by event.
+
+**Overload is an explicit policy, only at admission.**  When the event
+queue is full, ``block`` makes ``submit`` wait (lossless) and ``shed``
+makes it refuse and count (bounded latency); a slow stage backs up into
+``submit``.  ``submitted == enriched + shed`` is an invariant the soak
+suite asserts.
 
 **Determinism by construction.**  Enrichment of one event is a pure
-function of the engine/whois state (no wall time is serialized), batches
-preserve admission order, and the emitter's reorder buffer restores it
-after the fan-out — so the same seed and stream produce byte-identical
-enriched output and drift alerts whether K is 1 or 8.  Timing only moves
-*latency metrics*, never payloads.
+function of the engine/whois state (no wall time is serialized) and the
+stage emits in admission order, so the same seed and stream produce
+byte-identical enriched output and drift alerts whatever the batch
+boundaries.  Timing only moves latency metrics.
 
-Shutdown uses a K-sentinel protocol: ``drain()`` pushes one sentinel
-through the event queue; the batcher flushes and forwards K sentinels to
-the work queue; each worker forwards exactly one to the done queue; the
-emitter exits on the K-th.  Queues are FIFO, so by then every result is
-already out.  Each thread forwards its sentinels in a ``finally`` block,
-so even a crashed stage cannot wedge the stages downstream of it.
+Shutdown: ``drain()`` queues a sentinel behind the last event; the stage
+exits after the batch it arrives in.  A stage that crashes keeps taking
+(and dropping) events until the sentinel, so neither ``submit`` nor
+``drain`` can wedge on a full queue; ``drain`` then raises.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.enrich.drift import DriftAlert, DriftDetector
 from repro.net.registry import TeamCymruWhois, UnallocatedAddressError, WhoisRecord
 from repro.obs.quantiles import BucketHistogram
-from repro.serve.engine import ConsensusAnswer, LookupOutcome, ServingEngine
+from repro.serve.engine import ConsensusAnswer, ServingEngine
 from repro.serve.errors import ServeError
 from repro.serve.index import IndexAnswer
 
@@ -114,23 +109,17 @@ class BoundedQueue:
             self._not_empty.notify()
             return True
 
-    def get(self, timeout: float | None = None) -> Any:
-        """Dequeue; raises :class:`TimeoutError` on a timed-out wait."""
+    def take(self, limit: int) -> list:
+        """Block until an item is queued, then dequeue everything that
+        has queued, up to ``limit`` items, in FIFO order — never waiting
+        for more to arrive."""
         with self._lock:
-            if timeout is None:
-                while not self._items:
-                    self._not_empty.wait()
-            else:
-                deadline = time.monotonic() + timeout
-                while not self._items:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._not_empty.wait(remaining):
-                        if not self._items:
-                            raise TimeoutError(self.name)
-                        break
-            item = self._items.popleft()
-            self._not_full.notify()
-            return item
+            items = self._items
+            while not items:
+                self._not_empty.wait()
+            taken = [items.popleft() for _ in range(min(limit, len(items)))]
+            self._not_full.notify(len(taken))
+            return taken
 
     def depth(self) -> int:
         with self._lock:
@@ -154,31 +143,27 @@ class BoundedQueue:
 
 @dataclass(frozen=True, slots=True)
 class EnrichConfig:
-    """Pipeline shape: batching, queue bounds, fan-out, overload policy."""
+    """Pipeline shape: batch cap, admission bound, overload policy."""
 
     batch_size: int = 64
-    #: Max time the oldest queued event may wait for its batch to fill.
-    linger_ms: float = 5.0
     event_queue: int = 2048
-    work_queue: int = 64
-    done_queue: int = 2048
+    #: Inert: whois runs on the stage thread.  Kept, and validated,
+    #: because the benchmark's reference run still builds
+    #: ``EnrichConfig(whois_workers=1)``.
     whois_workers: int = 2
     overload: str = "block"
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {self.batch_size!r}")
-        if self.linger_ms <= 0:
-            raise ValueError(f"linger_ms must be positive: {self.linger_ms!r}")
+        if self.event_queue < 1:
+            raise ValueError(f"event_queue must be >= 1: {self.event_queue!r}")
         if self.whois_workers < 1:
             raise ValueError(f"whois_workers must be >= 1: {self.whois_workers!r}")
         if self.overload not in OVERLOAD_POLICIES:
             raise ValueError(
                 f"overload must be one of {OVERLOAD_POLICIES}: {self.overload!r}"
             )
-        for bound_name in ("event_queue", "work_queue", "done_queue"):
-            if getattr(self, bound_name) < 1:
-                raise ValueError(f"{bound_name} must be >= 1")
 
 
 def _answer_to_json(answer: IndexAnswer) -> dict[str, Any]:
@@ -266,7 +251,6 @@ class EnrichReport:
     """The ``repro enrich`` run summary (CLI ``--json`` payload)."""
 
     policy: str
-    workers: int
     offered: int
     enriched: int
     shed: int
@@ -284,7 +268,6 @@ class EnrichReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "policy": self.policy,
-            "workers": self.workers,
             "offered": self.offered,
             "enriched": self.enriched,
             "shed": self.shed,
@@ -303,8 +286,7 @@ class EnrichReport:
     def render(self) -> str:
         lines = [
             "enrichment firehose",
-            f"  policy {self.policy} · workers {self.workers} · "
-            f"{self.duration_s:.1f}s",
+            f"  policy {self.policy} · {self.duration_s:.1f}s",
             f"  offered {self.offered} · enriched {self.enriched} · "
             f"shed {self.shed} · errors {self.errors}",
             f"  achieved {self.achieved_eps:,.0f} events/s"
@@ -321,21 +303,12 @@ class EnrichReport:
         return "\n".join(lines)
 
 
-@dataclass(slots=True)
-class _Resolved:
-    """A worker's per-event computation, pre-reordering."""
-
-    consensus: ConsensusAnswer | None
-    whois: WhoisRecord | None
-    error: str | None
-
-
 class EnrichmentPipeline:
-    """Micro-batching, whois-fanning, order-restoring enrichment.
+    """Natural-batching enrichment on one stage thread.
 
     Single-producer: exactly one thread may call :meth:`submit` /
     :meth:`run` (admission order *is* output order, so admission must be
-    a sequence).  Everything downstream is concurrent and invisible.
+    a sequence).
 
     Lifecycle is one-shot: :meth:`start`, submit events, :meth:`drain`.
     :meth:`run` wraps all three around an event iterable with optional
@@ -363,35 +336,29 @@ class EnrichmentPipeline:
         self._metrics = metrics
         self._sink = sink
         self._events = BoundedQueue(config.event_queue, "events")
-        self._work = BoundedQueue(config.work_queue, "work")
-        self._done = BoundedQueue(config.done_queue, "done")
-        self._threads: list[threading.Thread] = []
-        self._crashes: list[str] = []
-        self._crash_lock = threading.Lock()
+        self._thread: threading.Thread | None = None
+        self._crash: BaseException | None = None
         self._started = False
         self._drained = False
         # Counters below are single-writer each (submit thread or the
-        # emitter), so plain ints are exact.
-        self._next_order = 0
+        # stage), so plain ints are exact.
         self.submitted = 0
         self.shed = 0
         self.enriched = 0
         self.errors = 0
         self.batches = 0
-        self._reorder_high_water = 0
+        self._taken = 0
+        self._in_hand = 0
+        self._largest_batch = 0
         self.latency_ms = BucketHistogram()
         if metrics is not None:
             metrics.track_window("enrich_enriched", "enrich.enriched", horizon_s=60)
             metrics.track_window("enrich_shed", "enrich.shed", horizon_s=60)
-            for queue in (self._events, self._work, self._done):
-                metrics.register_gauge(
-                    "enrich.queue_depth", queue.depth, queue=queue.name
-                )
-                metrics.register_gauge(
-                    "enrich.queue_high_water",
-                    lambda q=queue: q.high_water,
-                    queue=queue.name,
-                )
+            events = self._events
+            metrics.register_gauge("enrich.queue_depth", events.depth, queue="events")
+            metrics.register_gauge(
+                "enrich.queue_high_water", lambda: events.high_water, queue="events"
+            )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -399,21 +366,10 @@ class EnrichmentPipeline:
         if self._started:
             raise RuntimeError("pipeline already started")
         self._started = True
-        self._threads = [
-            threading.Thread(target=self._batcher_loop, name="enrich-batcher"),
-        ]
-        for index in range(self.config.whois_workers):
-            self._threads.append(
-                threading.Thread(
-                    target=self._worker_loop, name=f"enrich-worker-{index}"
-                )
-            )
-        self._threads.append(
-            threading.Thread(target=self._emitter_loop, name="enrich-emitter")
+        self._thread = threading.Thread(
+            target=self._stage_loop, name="enrich-stage", daemon=True
         )
-        for thread in self._threads:
-            thread.daemon = True
-            thread.start()
+        self._thread.start()
         return self
 
     def submit(self, event) -> bool:
@@ -422,11 +378,10 @@ class EnrichmentPipeline:
         if not self._started or self._drained:
             raise RuntimeError("pipeline not running")
         self.submitted += 1
-        order = self._next_order
-        item = (order, time.perf_counter(), event)
-        accepted = self._events.put(item, block=self.config.overload == "block")
+        accepted = self._events.put(
+            (time.perf_counter(), event), block=self.config.overload == "block"
+        )
         if accepted:
-            self._next_order += 1
             if self._metrics is not None:
                 self._metrics.inc("enrich.events")
         else:
@@ -436,9 +391,9 @@ class EnrichmentPipeline:
         return accepted
 
     def drain(self, timeout_s: float = 60.0) -> None:
-        """Flush everything in flight and stop the stage threads.
+        """Flush everything in flight and stop the stage thread.
 
-        Raises if a stage crashed or failed to stop — a wedged pipeline
+        Raises if the stage crashed or failed to stop — a wedged pipeline
         must fail the test that built it, not hang it.
         """
         if not self._started:
@@ -447,14 +402,13 @@ class EnrichmentPipeline:
             return
         self._drained = True
         self._events.put(_STOP)  # always blocking: shutdown is not load
-        deadline = time.monotonic() + timeout_s
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
-        stuck = [thread.name for thread in self._threads if thread.is_alive()]
-        if stuck:
-            raise RuntimeError(f"enrichment stages failed to drain: {stuck}")
-        if self._crashes:
-            raise RuntimeError(f"enrichment stages crashed: {self._crashes}")
+        self._thread.join(timeout_s)
+        if self._thread.is_alive():
+            raise RuntimeError("enrichment stage failed to drain")
+        if self._crash is not None:
+            raise RuntimeError(
+                f"enrichment stage crashed: {self._crash!r}"
+            ) from self._crash
 
     def run(
         self,
@@ -497,168 +451,124 @@ class EnrichmentPipeline:
         duration = time.perf_counter() - started
         return self.report(duration_s=duration, offered_rate=rate)
 
-    # -- stage threads -------------------------------------------------------
+    # -- the stage -----------------------------------------------------------
 
-    def _crashed(self, stage: str, exc: BaseException) -> None:
-        with self._crash_lock:
-            self._crashes.append(f"{stage}: {exc!r}")
-
-    def _batcher_loop(self) -> None:
-        linger_s = self.config.linger_ms / 1000.0
-        batch: list[tuple[int, float, Any]] = []
-        deadline = 0.0
+    def _stage_loop(self) -> None:
+        take, limit = self._events.take, self.config.batch_size
+        stopped = False
         try:
-            while True:
-                if not batch:
-                    item = self._events.get()
-                else:
-                    try:
-                        item = self._events.get(
-                            max(0.0, deadline - time.monotonic())
-                        )
-                    except TimeoutError:
-                        self._flush(batch)
-                        batch = []
-                        continue
-                if item is _STOP:
-                    if batch:
-                        self._flush(batch)
-                    return
-                if not batch:
-                    deadline = time.monotonic() + linger_s
-                batch.append(item)
-                if len(batch) >= self.config.batch_size:
-                    self._flush(batch)
-                    batch = []
-        except BaseException as exc:  # noqa: BLE001 - stage must report, not vanish
-            self._crashed("batcher", exc)
+            while not stopped:
+                batch = take(limit)
+                if batch[-1] is _STOP:  # the sentinel is always queued last
+                    batch.pop()
+                    stopped = True
+                if batch:
+                    self._enrich(batch)
+        except BaseException as exc:  # noqa: BLE001 - the stage must report, not vanish
+            self._crash = exc
         finally:
-            for _ in range(self.config.whois_workers):
-                self._work.put(_STOP)
+            while not stopped:  # keep submit() and drain() from wedging
+                stopped = take(limit)[-1] is _STOP
 
-    def _flush(self, batch: list[tuple[int, float, Any]]) -> None:
+    def _enrich(self, batch: list[tuple[float, Any]]) -> None:
+        size = len(batch)
         self.batches += 1
-        outcomes = self.engine.outcome_batch([item[2].address for item in batch])
+        self._taken += size
+        self._in_hand = size
+        if size > self._largest_batch:
+            self._largest_batch = size
+        engine = self.engine
+        # Fetched before the lookups: a swap mid-batch can then only put
+        # newer cells into an older generation's table, never the reverse.
+        cells = self.detector.cell_verdicts(engine.generation_memo())
+        outcomes = engine.outcome_batch([event.address for _, event in batch])
         if self._metrics is not None:
             self._metrics.inc("enrich.batches")
-            self._metrics.observe("enrich.batch_size", len(batch))
-        for (order, admitted, event), outcome in zip(batch, outcomes):
-            self._work.put((order, admitted, event, outcome))
+            self._metrics.observe("enrich.batch_size", size)
+        for (admitted, event), outcome in zip(batch, outcomes):
+            self._emit(admitted, event, outcome, cells)
+        self._in_hand = 0
 
-    def _worker_loop(self) -> None:
-        try:
-            while True:
-                item = self._work.get()
-                if item is _STOP:
-                    return
-                order, admitted, event, outcome = item
-                self._done.put(
-                    (order, admitted, event, outcome, self._resolve(event, outcome))
-                )
-        except BaseException as exc:  # noqa: BLE001
-            self._crashed("worker", exc)
-        finally:
-            # Exactly one sentinel per worker, crash or not — the
-            # emitter's exit condition must stay reachable.
-            self._done.put(_STOP)
-
-    def _resolve(self, event, outcome) -> _Resolved:
-        try:
-            if isinstance(outcome, ServeError):
-                return _Resolved(None, None, f"{type(outcome).__name__}: {outcome}")
-            consensus = self.engine.consensus_of(outcome)
-            whois_record = None
+    def _emit(self, admitted: float, event, outcome, cells: dict) -> None:
+        if isinstance(outcome, ServeError):
+            answers, degraded, unavailable = {}, True, ()
+            consensus = record = None
+            error: str | None = f"{type(outcome).__name__}: {outcome}"
+        else:
+            answers, degraded = outcome.answers, outcome.degraded
+            unavailable = outcome.unavailable()
+            record = None
             if self.whois is not None:
                 try:
-                    whois_record = self.whois.lookup(event.address)
+                    record = self.whois.lookup(event.address)
                 except UnallocatedAddressError:
-                    whois_record = None
-            return _Resolved(consensus, whois_record, None)
-        except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
-            return _Resolved(None, None, f"{type(exc).__name__}: {exc}")
-
-    def _emitter_loop(self) -> None:
-        pending: dict[int, tuple] = {}
-        next_order = 0
-        stops = 0
-        try:
-            while stops < self.config.whois_workers:
-                item = self._done.get()
-                if item is _STOP:
-                    stops += 1
-                    continue
-                pending[item[0]] = item
-                if len(pending) > self._reorder_high_water:
-                    self._reorder_high_water = len(pending)
-                while next_order in pending:
-                    self._emit(pending.pop(next_order))
-                    next_order += 1
-            if pending:
-                raise RuntimeError(
-                    f"{len(pending)} events lost in flight (next={next_order})"
-                )
-        except BaseException as exc:  # noqa: BLE001
-            self._crashed("emitter", exc)
-
-    def _emit(self, item: tuple) -> None:
-        _order, admitted, event, outcome, resolved = item
-        if isinstance(outcome, ServeError):
-            answers: Mapping[str, IndexAnswer | None] = {}
-            degraded = True
-            unavailable: tuple[str, ...] = ()
-            alerts: tuple[DriftAlert, ...] = ()
-        else:
-            answers = outcome.answers
-            degraded = outcome.degraded
-            unavailable = outcome.unavailable()
-            alerts = (
-                self.detector.inspect(event.seq, outcome, resolved.consensus)
-                if resolved.consensus is not None
-                else ()
-            )
+                    pass
+                except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
+                    record = exc
+            try:
+                consensus = self.engine.consensus_of(outcome)
+            except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
+                consensus, record = None, exc
+            error = None
+            if isinstance(record, Exception):
+                error = f"{type(record).__name__}: {record}"
+                consensus = record = None
         enriched = EnrichedEvent(
             event=event,
             answers=answers,
-            consensus=resolved.consensus,
-            whois=resolved.whois,
+            consensus=consensus,
+            whois=record,
             degraded=degraded,
             unavailable=unavailable,
-            alerts=alerts,
-            error=resolved.error,
+            alerts=(
+                ()
+                if consensus is None
+                else self.detector.inspect(event.seq, outcome, consensus, cells)
+            ),
+            error=error,
         )
         latency_ms = (time.perf_counter() - admitted) * 1000.0
         self.latency_ms.observe(latency_ms)
         self.enriched += 1
-        if resolved.error is not None:
+        if error is not None:
             self.errors += 1
         if self._metrics is not None:
             self._metrics.inc("enrich.enriched")
             self._metrics.observe("enrich.event_latency_ms", latency_ms)
-            if resolved.error is not None:
+            if error is not None:
                 self._metrics.inc("enrich.errors")
         if self._sink is not None:
             self._sink(enriched)
 
     # -- observability -------------------------------------------------------
 
+    def _queues(self) -> dict[str, dict[str, int]]:
+        """The event queue's census, plus the stage's in-hand batch
+        under the names ``work`` and ``done`` that the benchmark ledger
+        still reads."""
+        in_hand = {
+            "capacity": self.config.batch_size,
+            "depth": self._in_hand,
+            "high_water": self._largest_batch,
+            "puts": self._taken,
+            "rejected": 0,
+        }
+        return {"events": self._events.stats(), "work": in_hand, "done": dict(in_hand)}
+
     def stats(self) -> dict[str, Any]:
         """``/statusz``-style block: policy, accounting, queue census,
         latency quantiles, drift summary, engine degradation."""
         return {
             "policy": self.config.overload,
-            "workers": self.config.whois_workers,
             "batch_size": self.config.batch_size,
-            "linger_ms": self.config.linger_ms,
             "submitted": self.submitted,
             "shed": self.shed,
             "enriched": self.enriched,
             "errors": self.errors,
             "batches": self.batches,
-            "queues": {
-                queue.name: queue.stats()
-                for queue in (self._events, self._work, self._done)
-            },
-            "reorder_high_water": self._reorder_high_water,
+            "queues": self._queues(),
+            # Read by the benchmark ledger; nothing is reordered, so 0.
+            "reorder_high_water": 0,
             "latency_ms": self.latency_ms.quantiles() if self.latency_ms.count else {},
             "drift": self.detector.stats(),
             "degraded_vendors": list(self.engine.degraded_vendors()),
@@ -670,7 +580,6 @@ class EnrichmentPipeline:
         drift = self.detector.stats()
         return EnrichReport(
             policy=self.config.overload,
-            workers=self.config.whois_workers,
             offered=self.submitted,
             enriched=self.enriched,
             shed=self.shed,
@@ -682,9 +591,6 @@ class EnrichmentPipeline:
             offered_rate=offered_rate,
             achieved_eps=self.enriched / duration_s if duration_s > 0 else 0.0,
             latency_ms=self.latency_ms.quantiles() if self.latency_ms.count else {},
-            queues={
-                queue.name: queue.stats()
-                for queue in (self._events, self._work, self._done)
-            },
+            queues=self._queues(),
             drift=drift,
         )

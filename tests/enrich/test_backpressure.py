@@ -31,10 +31,7 @@ class SlowWhois:
 def tight_config(policy: str) -> EnrichConfig:
     return EnrichConfig(
         batch_size=8,
-        linger_ms=2.0,
         event_queue=32,
-        work_queue=16,
-        done_queue=32,
         whois_workers=1,
         overload=policy,
     )

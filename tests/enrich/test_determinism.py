@@ -3,8 +3,9 @@
 Mirrors ``tests/geodb/test_stream_equivalence.py``'s streamed-vs-
 materialized style: the same seed and event stream must produce
 byte-identical enriched output and the identical ``DriftAlert``
-sequence whether the whois fan-out runs 1, 2, or 8 workers — timing
-may move latency numbers, never payloads.
+sequence whether ``whois_workers`` is 1, 2, or 8 (the setting is inert
+while whois runs on the stage thread, and the sweep keeps it that way)
+— timing may move latency numbers, never payloads.
 """
 
 import json
@@ -38,7 +39,7 @@ def enrich_bytes(enrich_indexes, enrich_plane, whois, event_pool, workers: int):
     pipeline = EnrichmentPipeline(
         engine,
         whois=whois,
-        config=EnrichConfig(batch_size=16, linger_ms=2.0, whois_workers=workers),
+        config=EnrichConfig(batch_size=16, whois_workers=workers),
         sink=sink,
     )
     pipeline.start()

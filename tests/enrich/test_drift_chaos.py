@@ -10,7 +10,8 @@ Two adversarial scenarios the drift detector must survive:
   resuming once the vendor heals.
 * A `SnapshotStore` hot swap mid-stream must never produce an enriched
   event whose per-vendor answers mix generations (a torn read would
-  immediately read as drift).
+  immediately read as drift), and the per-cell drift memo must not
+  outlive the generation whose cells it holds.
 """
 
 import threading
@@ -55,7 +56,7 @@ def test_quarantine_cycle_suppresses_then_resumes_alerts(
     )
     detector = DriftDetector(city_range_km=engine.city_range_km)
     source = EventSource(event_pool, EventConfig(seed=41))
-    config = EnrichConfig(batch_size=8, linger_ms=2.0, whois_workers=2)
+    config = EnrichConfig(batch_size=8, whois_workers=2)
 
     # Phase 1 — vendor failing, then quarantined: every outcome is
     # degraded, so every inspection suppresses and none alerts.
@@ -142,7 +143,7 @@ def test_store_hot_swap_never_tears_an_enriched_event(
 
     pipeline = EnrichmentPipeline(
         engine,
-        config=EnrichConfig(batch_size=8, linger_ms=1.0, whois_workers=2),
+        config=EnrichConfig(batch_size=8, whois_workers=2),
         sink=check,
     )
     pipeline.start()
@@ -176,3 +177,16 @@ def test_store_hot_swap_never_tears_an_enriched_event(
     assert torn == [], f"mixed-generation enrichment: {torn[:3]}"
     assert pipeline.enriched == 600 and pipeline.shed == 0
     assert pipeline.errors == 0
+
+    # The drift memo lives in the served generation's memo: once the
+    # swaps stop, every entry it holds pins a cell of the plane now
+    # served, never one of the plane swapped out.
+    run_through(
+        EnrichmentPipeline(engine, detector=pipeline.detector),
+        source.take(100),
+    )
+    served = plane_a if engine.generation_id == record_a.generation else plane_b
+    served_cells = {id(cell) for cell in served.parts()[2]}
+    table = pipeline.detector.cell_verdicts(engine.generation_memo())
+    assert table, "the follow-up stream filled no drift memo entries"
+    assert all(id(cell) in served_cells for cell, _ in table.values())

@@ -22,7 +22,7 @@ class TestBoundedQueue:
         for item in (1, 2, 3):
             assert queue.put(item)
         assert queue.depth() == 3
-        assert [queue.get() for _ in range(3)] == [1, 2, 3]
+        assert queue.take(8) == [1, 2, 3]
         stats = queue.stats()
         assert stats == {
             "capacity": 4, "depth": 0, "high_water": 3, "puts": 3, "rejected": 0,
@@ -38,11 +38,6 @@ class TestBoundedQueue:
         assert (stats["rejected"], stats["puts"]) == (2, 2)
         assert stats["high_water"] == 2 == stats["capacity"]
 
-    def test_get_timeout_raises(self):
-        queue = BoundedQueue(1, "q")
-        with pytest.raises(TimeoutError):
-            queue.get(timeout=0.01)
-
     def test_blocking_put_waits_for_space(self):
         queue = BoundedQueue(1, "q")
         queue.put("a")
@@ -56,9 +51,40 @@ class TestBoundedQueue:
         thread.start()
         time.sleep(0.05)
         assert not done  # still blocked on the full queue
-        assert queue.get() == "a"
+        assert queue.take(1) == ["a"]
         thread.join(timeout=5.0)
-        assert done and queue.get() == "b"
+        assert done and queue.take(1) == ["b"]
+
+    def test_take_returns_what_has_queued_up_to_the_limit(self):
+        queue = BoundedQueue(8, "q")
+        for item in range(5):
+            queue.put(item)
+        assert queue.take(3) == [0, 1, 2]
+        assert queue.take(3) == [3, 4]  # what is there, not a full batch
+        assert queue.stats()["depth"] == 0
+
+    def test_take_waits_for_the_first_item_only(self):
+        queue = BoundedQueue(8, "q")
+        taken = []
+        thread = threading.Thread(
+            target=lambda: taken.append(queue.take(8)), daemon=True
+        )
+        thread.start()
+        queue.put("x")
+        thread.join(timeout=5.0)
+        assert taken == [["x"]]
+
+    def test_take_frees_room_for_a_blocked_producer(self):
+        queue = BoundedQueue(2, "q")
+        queue.put("a")
+        queue.put("b")
+        thread = threading.Thread(target=lambda: queue.put("c"), daemon=True)
+        thread.start()
+        assert queue.take(2) == ["a", "b"]
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert queue.take(2) == ["c"]
+        assert queue.stats()["high_water"] == 2
 
     def test_rejects_silly_capacity(self):
         with pytest.raises(ValueError):
@@ -70,16 +96,21 @@ class TestEnrichConfig:
         "kwargs",
         [
             {"batch_size": 0},
-            {"linger_ms": 0.0},
+            {"batch_size": -1},
             {"whois_workers": 0},
             {"overload": "drop"},
             {"event_queue": 0},
-            {"work_queue": -1},
+            {"event_queue": -1},
         ],
     )
     def test_rejects_bad_shapes(self, kwargs):
         with pytest.raises(ValueError):
             EnrichConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["linger_ms", "work_queue", "done_queue"])
+    def test_has_no_timer_or_internal_queues(self, name):
+        with pytest.raises(TypeError):
+            EnrichConfig(**{name: 1})
 
 
 def run_events(engine, events, *, whois=None, config=None, detector=None):
@@ -197,3 +228,94 @@ def test_run_paces_and_reports(engine, whois, event_pool):
     assert "offered 500" in rendered and "policy block" in rendered
     payload = report.to_dict()
     assert payload["enriched"] == 500 and payload["queues"]["events"]["rejected"] == 0
+
+
+class GatedWhois:
+    """A whois whose first lookup parks until ``release`` is set, so a
+    test can queue events behind the batch in flight.  ``threads`` names
+    the thread each lookup ran on."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.threads: list[str] = []
+
+    def lookup(self, address):
+        self.threads.append(threading.current_thread().name)
+        if not self.entered.is_set():
+            self.entered.set()
+            self.release.wait(10.0)
+        return self._inner.lookup(address)
+
+
+def test_events_queued_behind_a_batch_leave_together(engine, whois, event_pool):
+    events = EventSource(event_pool, EventConfig(seed=61)).take(7)
+    gated = GatedWhois(whois)
+    out = []
+    pipeline = EnrichmentPipeline(
+        engine,
+        whois=gated,
+        config=EnrichConfig(batch_size=4, whois_workers=2),
+        sink=lambda enriched: out.append((enriched, pipeline.batches)),
+    )
+    pipeline.start()
+    pipeline.submit(events[0])
+    assert gated.entered.wait(10.0)  # batch 1, the lone event, is resolving
+    for event in events[1:]:
+        pipeline.submit(event)
+    gated.release.set()
+    pipeline.drain()
+
+    # Batch 2 takes what queued meanwhile, capped at batch_size; batch 3
+    # the rest.
+    assert [(e.event.seq, batch) for e, batch in out] == [
+        (0, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 3), (6, 3),
+    ]
+    # Whois never leaves the stage thread, whatever whois_workers says.
+    assert gated.threads == ["enrich-stage"] * 7
+    for enriched, _batch in out:
+        try:
+            expected = whois.lookup(enriched.event.address)
+        except UnallocatedAddressError:
+            expected = None
+        assert enriched.whois == expected
+    stats = pipeline.stats()
+    assert stats["batches"] == 3
+    for name in ("work", "done"):
+        assert stats["queues"][name] == {
+            "capacity": 4, "depth": 0, "high_water": 4, "puts": 7, "rejected": 0,
+        }
+    assert stats["reorder_high_water"] == 0
+
+
+def test_an_idle_pipelines_lone_event_is_a_batch_of_one(engine, event_pool):
+    event = EventSource(event_pool, EventConfig(seed=67)).take(1)[0]
+    seen = []
+    pipeline = EnrichmentPipeline(
+        engine, sink=lambda enriched: seen.append(pipeline.batches)
+    )
+    pipeline.start()
+    pipeline.submit(event)
+    pipeline.drain()
+    assert seen == [1]
+    stats = pipeline.stats()
+    assert stats["batches"] == 1
+    assert stats["queues"]["work"]["high_water"] == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, SystemExit])
+def test_a_crashed_stage_fails_drain_instead_of_wedging(engine, event_pool, error):
+    events = EventSource(event_pool, EventConfig(seed=71)).take(50)
+
+    def sink(_enriched):
+        raise error("sink exploded")
+
+    pipeline = EnrichmentPipeline(
+        engine, config=EnrichConfig(batch_size=4, event_queue=4), sink=sink
+    )
+    pipeline.start()
+    for event in events:  # more than the queue holds: the stage must keep taking
+        pipeline.submit(event)
+    with pytest.raises(RuntimeError, match="sink exploded"):
+        pipeline.drain()

@@ -1,8 +1,7 @@
 """Concurrency hammer for ``TeamCymruWhois.lookup``'s LRU memo.
 
-The memo was added in PR 4 for a single-threaded pipeline; the
-enrichment firehose now calls it from a pool of whois workers.  The
-audited claim (see the class docstring): the internally-locked
+One registry, and so one memo, may be shared by any threads that hold
+it.  The audited claim (see the class docstring): the internally-locked
 ``LruCache`` plus an immutable registry make concurrent lookups safe —
 worst case is a benign duplicate compute, never a torn record or a lost
 counter.  This test drives that claim with 8 threads over a

@@ -380,3 +380,9 @@ class TestSnapshotCommand:
             == 1
         )
         assert "GATE FAILED" in capsys.readouterr().err
+
+    def test_enrich_has_no_linger_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(ARGS + ["enrich", "--events", "10", "--linger-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "--linger-ms" in capsys.readouterr().err
