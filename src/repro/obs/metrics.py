@@ -85,8 +85,14 @@ class CounterCell:
     def add(self, value: int = 1) -> None:
         """Add ``value`` to every counter this cell was registered under
         and to every window tracking one of them."""
-        with self._lock:
+        # acquire/release rather than ``with``: on the ~1 µs plane path
+        # the context-manager protocol costs more than the add itself.
+        lock = self._lock
+        lock.acquire()
+        try:
             self.value += value
+        finally:
+            lock.release()
         for window in self.windows:
             window.add(value)
 

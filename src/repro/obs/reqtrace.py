@@ -91,9 +91,9 @@ class SpanRecord:
 class RequestTrace:
     """One request's id, path attribution, and bounded span rows.
 
-    Span recording is thread-safe (batch fan-out workers append from the
-    pool threads); each span row has a single writer, so only the row
-    allocation itself locks.
+    A trace has a single writer — the thread serving its request — and
+    is only read (``/tracez``, the slow-request log) once finished, so
+    recording takes no lock.
     """
 
     __slots__ = (
@@ -108,7 +108,6 @@ class RequestTrace:
         "_spans",
         "_t0",
         "_mono",
-        "_lock",
     )
 
     def __init__(
@@ -129,22 +128,18 @@ class RequestTrace:
         self._spans: list[SpanRecord] = []
         self._t0 = time.perf_counter()
         self._mono = time.monotonic()
-        self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------------
 
     def begin(self, name: str, *, parent: int = -1, **attrs: Any) -> int:
         """Open a span row; returns its index (or -2 when over the cap)."""
         offset_ms = (time.perf_counter() - self._t0) * 1000.0
-        with self._lock:
-            if len(self._spans) >= self.max_spans:
-                self.dropped_spans += 1
-                return -2
-            index = len(self._spans)
-            self._spans.append(
-                SpanRecord(name, parent, offset_ms, None, attrs or None)
-            )
-        return index
+        spans = self._spans
+        if len(spans) >= self.max_spans:
+            self.dropped_spans += 1
+            return -2
+        spans.append(SpanRecord(name, parent, offset_ms, None, attrs or None))
+        return len(spans) - 1
 
     def end(self, index: int, **attrs: Any) -> None:
         """Close the span opened by :meth:`begin` (no-op when dropped)."""
@@ -195,8 +190,7 @@ class RequestTrace:
 
     def to_dict(self) -> dict[str, Any]:
         """The span tree ``/tracez`` serves: root + nested children."""
-        with self._lock:
-            rows = list(self._spans)
+        rows = self._spans
         nodes = [row.to_dict() for row in rows]
         children: list[list[dict[str, Any]]] = [[] for _ in rows]
         roots: list[dict[str, Any]] = []

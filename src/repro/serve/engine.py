@@ -2,7 +2,7 @@
 
 A :class:`ServingEngine` is what a deployment actually runs: the four
 vendor tables compiled to :class:`~repro.serve.index.CompiledIndex`
-form, batch lookup with thread fan-out, and a consensus view that
+form, inline batch lookup, and a consensus view that
 reuses the study's own majority-vote machinery
 (:func:`repro.core.majority.majority_of_records`) — the §5.1 warning
 that databases can agree *and* be wrong is exactly why the API reports
@@ -64,7 +64,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -85,10 +84,6 @@ __all__ = [
     "ResiliencePolicy",
     "ServingEngine",
 ]
-
-#: Batches at least this large fan out across worker threads.
-DEFAULT_BATCH_THRESHOLD = 256
-
 
 @dataclass(frozen=True, slots=True)
 class ResiliencePolicy:
@@ -313,8 +308,6 @@ class ServingEngine:
         *,
         metrics: MetricsRegistry | None = None,
         city_range_km: float = DEFAULT_CITY_RANGE_KM,
-        batch_threshold: int = DEFAULT_BATCH_THRESHOLD,
-        max_workers: int = 4,
         policy: ResiliencePolicy | None = None,
         injector=None,
         plane=None,
@@ -330,15 +323,9 @@ class ServingEngine:
         absent from ``indexes`` are served as statically quarantined
         (every answer flagged degraded) instead of silently dropped.
         """
-        if batch_threshold < 1:
-            raise ValueError(f"batch_threshold must be positive: {batch_threshold!r}")
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be positive: {max_workers!r}")
         self._injector = injector
         self.attach_metrics(metrics)
         self.city_range_km = city_range_km
-        self.batch_threshold = batch_threshold
-        self.max_workers = max_workers
         self._policy = policy if policy is not None else DEFAULT_POLICY
         self._clock = clock
         self._sleep = sleep
@@ -357,11 +344,6 @@ class ServingEngine:
             gen_id=generation_id,
             source=generation_source,
         )
-        # Batch fan-out pool: created lazily on the first large batch and
-        # reused for the engine's lifetime (thread startup per request is
-        # exactly the orchestration cost this layer exists to avoid).
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
     def _build_generation(
         self,
@@ -887,10 +869,12 @@ class ServingEngine:
         ``address``, or ``None`` when the plane cannot answer.
 
         This is the raw healthy hot path — one bisect plus a list read,
-        with no outcome or consensus objects constructed per request.
-        ``None`` means no plane is attached, a fault injector is armed,
-        or some vendor is currently degraded; the caller falls back to
-        :meth:`lookup_outcome` / :meth:`consensus_of`.
+        with no outcome or consensus objects constructed per request, and
+        no counter or span: a caller that serves the cell credits it
+        through :meth:`outcome_batch`'s ``plane_hits``.  ``None`` means
+        no plane is attached, a fault injector is armed, or some vendor
+        is currently degraded; the caller falls back to
+        :meth:`lookup_outcome` / :meth:`outcome_batch`.
         """
         gen = self._gen
         plane = gen.plane_live
@@ -903,79 +887,54 @@ class ServingEngine:
         addresses: Sequence[IPv4Address | str | int] | Iterable,
         *,
         trace=None,
+        plane_hits: int = 0,
     ) -> list[LookupOutcome | ServeError]:
-        """Outcomes for many addresses, in input order.
+        """Outcomes for many addresses, in input order, resolved inline.
 
         Per-address serving errors come back as values (the typed error
         object), not raises — one dead address space must not fail a
-        batch.  Small batches run inline; batches of at least
-        ``batch_threshold`` addresses fan out in contiguous chunks over
-        one persistent thread pool (created lazily on the first large
-        batch and reused — paying thread startup per request was
-        measurable under sustained load; the index probe releases no
-        locks worth contending on, and chunking keeps per-task overhead
-        negligible).
+        batch.  ``plane_hits`` counts further addresses of the same
+        request the caller answered from :meth:`lookup_plane` cells: they
+        go to ``serve.lookups``/``plane.hits`` in one add and into
+        ``serve.batch_size``, so a request counts once in
+        ``serve.batch_lookups`` whichever paths its addresses took.
         """
         addresses = list(addresses)
         metrics = self._metrics
         if metrics is not None:
             metrics.inc("serve.batch_lookups")
-            metrics.observe("serve.batch_size", len(addresses))
+            metrics.observe("serve.batch_size", len(addresses) + plane_hits)
+            if plane_hits:
+                self._cell_plane_hit.add(plane_hits)
+        if not addresses:
+            return []
         batch_span = -1
         if trace is not None:
             batch_span = trace.begin("batch", size=len(addresses))
-
-        def one(address) -> LookupOutcome | ServeError:
+        results: list[LookupOutcome | ServeError] = []
+        for address in addresses:
             try:
-                return self.lookup_outcome(address, trace=trace)
+                results.append(self.lookup_outcome(address, trace=trace))
             except ServeError as exc:
-                return exc
-
-        if len(addresses) < self.batch_threshold:
-            results = [one(address) for address in addresses]
-        else:
-            chunk = -(-len(addresses) // self.max_workers)  # ceil division
-            chunks = [
-                addresses[i : i + chunk] for i in range(0, len(addresses), chunk)
-            ]
-            parts = self._executor().map(lambda part: [one(a) for a in part], chunks)
-            results = [outcome for part in parts for outcome in part]
+                results.append(exc)
         if trace is not None:
             trace.end(batch_span)
         return results
 
-    def _executor(self) -> ThreadPoolExecutor:
-        """The lazily-created persistent batch pool (double-checked)."""
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    pool = self._pool = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix="repro-serve-batch",
-                    )
-        return pool
-
     def close(self) -> None:
-        """Stop store watchers, refuse future swaps, shut the batch pool.
+        """Stop store watchers and refuse future swaps.
 
         Idempotent; the HTTP server calls this from its shutdown path.
-        Lookups still work afterwards (a later large batch simply
-        recreates the pool) — but the *generation* is frozen: swaps and
-        watcher registration raise, and every registered watcher thread
-        is stopped and joined here, so no reload thread outlives the
-        engine it was feeding.
+        Lookups still work afterwards — but the *generation* is frozen:
+        swaps and watcher registration raise, and every registered
+        watcher thread is stopped and joined here, so no reload thread
+        outlives the engine it was feeding.
         """
         with self._swap_lock:
             self._closed = True
             watchers, self._watchers = self._watchers, []
         for watcher in watchers:
             watcher.stop()
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def consensus_of(self, outcome: LookupOutcome) -> ConsensusAnswer:
         """Majority answer plus disagreement/degradation flags for an

@@ -76,11 +76,21 @@ class TestBatch:
         for address, result in zip(addresses, results):
             assert result == engine.lookup_outcome(address)
 
-    def test_large_batch_fans_out_identically(self, small_scenario, compiled_indexes):
+    def test_large_batch_equals_per_address_lookups(
+        self, small_scenario, compiled_indexes, answer_plane
+    ):
+        """A batch of 256 addresses or more resolves to exactly the
+        per-address lookup_outcome results, on the plane and the live
+        path."""
         addresses = list(small_scenario.ark_dataset.addresses)
-        threaded = ServingEngine(compiled_indexes, batch_threshold=10, max_workers=4)
-        inline = ServingEngine(compiled_indexes, batch_threshold=10**9)
-        assert threaded.outcome_batch(addresses) == inline.outcome_batch(addresses)
+        assert len(addresses) >= 256
+        for engine in (
+            ServingEngine(compiled_indexes),
+            ServingEngine(compiled_indexes, plane=answer_plane),
+        ):
+            assert engine.outcome_batch(addresses) == [
+                engine.lookup_outcome(address) for address in addresses
+            ]
 
     def test_batch_metrics(self, compiled_indexes):
         metrics = MetricsRegistry()
@@ -119,30 +129,17 @@ class TestBatch:
         # The address *after* the poisoned one was still resolved.
         assert all(tail in index.probed for index in poisoned.values())
 
-    def test_large_batches_reuse_one_pool(self, small_scenario, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, batch_threshold=4, max_workers=2)
-        assert engine._pool is None  # lazy: no threads until a large batch
-        addresses = list(small_scenario.ark_dataset.addresses[:16])
-        engine.outcome_batch(addresses)
-        pool = engine._pool
-        assert pool is not None
-        engine.outcome_batch(addresses)
-        assert engine._pool is pool  # persistent, not per-batch
-        engine.close()
-
     def test_close_is_idempotent_and_the_engine_stays_usable(
         self, small_scenario, compiled_indexes
     ):
-        engine = ServingEngine(compiled_indexes, batch_threshold=4, max_workers=2)
+        engine = ServingEngine(compiled_indexes)
         addresses = list(small_scenario.ark_dataset.addresses[:12])
         engine.outcome_batch(addresses)
         engine.close()
         engine.close()
-        assert engine._pool is None
-        # A later batch simply recreates the pool.
+        assert engine.closed
         results = engine.outcome_batch(addresses)
         assert len(results) == len(addresses)
-        engine.close()
 
 
 class TestConsensus:

@@ -8,6 +8,8 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.serve import GeoServer, ServingEngine
+from repro.serve.engine import ResiliencePolicy
+from repro.serve.http import MAX_BATCH_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,19 @@ def post(server, path, payload):
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return response.status, json.loads(response.read().decode("utf-8"))
+
+
+def post_batch(server, ips, request_id):
+    """Raw ``/batch`` response bytes, sent under a fixed request id."""
+    request = urllib.request.Request(
+        server.url + "/batch",
+        data=json.dumps({"ips": ips}).encode("utf-8"),
+        headers={"Content-Type": "application/json", "X-Request-Id": request_id},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        assert response.status == 200
+        return response.read()
 
 
 def error_of(call):
@@ -322,6 +337,136 @@ class TestErrors:
         )
 
 
+class TestBatchSplice:
+    """``/batch`` answers each healthy address straight from its plane
+    cell and resolves the rest live; either way the counts are exact."""
+
+    @staticmethod
+    def mixed_batch(small_scenario):
+        """``(ips, k + m)``: k covered Ark interfaces, m class-E misses
+        (answered by a plane cell whose every vendor is null) and
+        j = 3 invalid entries, interleaved."""
+        covered = [str(a) for a in small_scenario.ark_dataset.addresses[:7]]
+        class_e = ["240.0.0.1", "240.17.3.9", "240.255.255.254"]
+        invalid = ["garbage", "300.1.2.3", None]
+        ips = covered[:3] + invalid[:1] + class_e[:2] + covered[3:]
+        ips += invalid[1:] + class_e[2:]
+        return ips, len(covered) + len(class_e)
+
+    @staticmethod
+    def served(engine, metrics):
+        server = GeoServer(engine, port=0, metrics=metrics)
+        server.start_background()
+        return server
+
+    @staticmethod
+    def batch_size(metrics):
+        histogram = metrics.histograms_snapshot().get("serve.batch_size", {})
+        return histogram.get("count", 0), histogram.get("sum", 0)
+
+    def test_plane_items_are_counted_exactly_under_one_span(
+        self, compiled_indexes, answer_plane, small_scenario
+    ):
+        ips, valid = self.mixed_batch(small_scenario)
+        metrics = MetricsRegistry()
+        server = self.served(
+            ServingEngine(compiled_indexes, plane=answer_plane), metrics
+        )
+        try:
+            lookups = metrics.counter("serve.lookups")
+            hits = metrics.counter("plane.hits")
+            batches = metrics.counter("serve.batch_lookups")
+            sizes, total = self.batch_size(metrics)
+            body = json.loads(post_batch(server, ips, "splice-plane"))
+            assert metrics.counter("serve.lookups") - lookups == valid
+            assert metrics.counter("plane.hits") - hits == valid
+            assert metrics.counter("plane.fallbacks") == 0
+            assert metrics.counter("serve.batch_lookups") - batches == 1
+            assert self.batch_size(metrics) == (sizes + 1, total + valid)
+
+            results = body["results"]
+            assert [item.get("error") is not None for item in results] == [
+                ip in ("garbage", "300.1.2.3", None) for ip in ips
+            ]
+            assert all("degraded" not in item for item in results)
+
+            _, tracez = get(server, "/tracez")
+            (trace,) = [
+                t for t in tracez["slowest"] if t["trace_id"] == "splice-plane"
+            ]
+            assert trace["path"] == "plane"
+            (span,) = trace["spans"]
+            assert span["name"] == "plane.batch"
+            assert span["attrs"] == {"size": valid}
+        finally:
+            server.stop()
+
+    def test_quarantined_vendor_answers_the_batch_live(
+        self, compiled_indexes, answer_plane, small_scenario
+    ):
+        ips, valid = self.mixed_batch(small_scenario)
+        metrics = MetricsRegistry()
+        engine = ServingEngine(
+            compiled_indexes,
+            plane=answer_plane,
+            policy=ResiliencePolicy(cooldown_s=3600.0, cooldown_max_s=3600.0),
+        )
+        server = self.served(engine, metrics)
+        try:
+            victim = sorted(compiled_indexes)[1]
+            for _ in range(ResiliencePolicy().quarantine_threshold):
+                engine._record_failure(victim, RuntimeError("backend down"))
+            lookups = metrics.counter("serve.lookups")
+            hits = metrics.counter("plane.hits")
+            sizes, total = self.batch_size(metrics)
+            body = json.loads(post_batch(server, ips, "splice-degraded"))
+            assert metrics.counter("serve.lookups") - lookups == valid
+            assert metrics.counter("plane.hits") == hits
+            assert metrics.counter("plane.fallbacks") == valid
+            assert self.batch_size(metrics) == (sizes + 1, total + valid)
+
+            answered = [item for item in body["results"] if "answers" in item]
+            assert len(answered) == valid
+            for item in answered:
+                assert item["degraded"] is True
+                assert item["degraded_vendors"] == [victim]
+                assert item["answers"][victim] is None
+
+            _, tracez = get(server, "/tracez")
+            (trace,) = [
+                t for t in tracez["slowest"] if t["trace_id"] == "splice-degraded"
+            ]
+            assert trace["path"] == "degraded"
+            batch, *resolves = trace["spans"]
+            assert batch["name"] == "batch"
+            assert batch["attrs"]["size"] == valid
+            assert [span["name"] for span in resolves] == ["resolve"] * valid
+        finally:
+            server.stop()
+
+    def test_full_size_batch_bodies_match_on_plane_and_live(
+        self, compiled_indexes, answer_plane, small_scenario
+    ):
+        """The largest accepted batch renders the same bytes from plane
+        cells as from the live resolve path."""
+        pool = [str(a) for a in small_scenario.ark_dataset.addresses]
+        pool += ["240.0.0.1", "garbage"]
+        ips = [pool[i % len(pool)] for i in range(MAX_BATCH_SIZE)]
+        bodies = []
+        for engine in (
+            ServingEngine(compiled_indexes, plane=answer_plane),
+            ServingEngine(compiled_indexes),
+        ):
+            server = self.served(engine, MetricsRegistry())
+            try:
+                bodies.append(post_batch(server, ips, "full-size"))
+            finally:
+                server.stop()
+        plane_body, live_body = bodies
+        assert json.loads(plane_body)["count"] == MAX_BATCH_SIZE
+        assert plane_body == live_body
+
+
 class TestLifecycle:
     def test_stop_releases_the_port(self, compiled_indexes):
         server = GeoServer(ServingEngine(compiled_indexes), port=0)
@@ -335,14 +480,14 @@ class TestLifecycle:
         rebound = GeoServer(ServingEngine(compiled_indexes), port=port)
         rebound.server_close()
 
-    def test_stop_shuts_down_the_engine_batch_pool(self, compiled_indexes):
-        engine = ServingEngine(compiled_indexes, batch_threshold=2)
+    def test_stop_closes_the_engine(self, compiled_indexes):
+        engine = ServingEngine(compiled_indexes)
         server = GeoServer(engine, port=0)
         server.start_background()
         post(server, "/batch", {"ips": ["41.0.0.2", "41.0.0.3", "41.0.0.4"]})
-        assert engine._pool is not None
+        assert not engine.closed
         server.stop()
-        assert engine._pool is None  # server_close closed the engine too
+        assert engine.closed  # server_close closed the engine too
 
     def test_concurrent_requests(self, server, small_scenario):
         """The threaded server answers parallel lookups without mixing
