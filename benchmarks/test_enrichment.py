@@ -2,14 +2,16 @@
 
 ``perfbench/`` measures the serving stack over HTTP and the firehose
 out of process; this one records the streaming consumer in-process at
-bench scale: a paced synthetic firehose through the one-stage
-batch-lookup → whois → consensus → drift pipeline.  The ``enrichment``
-block of ``BENCH_pipeline.json`` records sustained events/s, end-to-end
-event latency quantiles, the number of batches the stage took, the
-in-hand batch census, and shed/drift counts, gated so a regression in
-any step (natural batching, whois, detection) — or a timer holding
-events back — fails the run rather than quietly shifting the
-trajectory.
+bench scale: a paced synthetic firehose through the batch-lookup →
+whois → consensus → drift pipeline under the ``block`` policy, where
+``submit`` enriches each event inline on the producer's thread (no
+stage thread, no queue; the ``shed`` stage thread is covered by
+``tests/enrich/``).  The ``enrichment`` block of ``BENCH_pipeline.json``
+records sustained events/s, end-to-end event latency quantiles, the
+number of batches (one per event inline), the in-hand batch census, and
+shed/drift counts, gated so a regression in any step (resolve, whois,
+detection) — or anything holding events back — fails the run rather
+than quietly shifting the trajectory.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ def test_enrichment_firehose_profile(scenario, record_perf):
             queue_stats,
         )
         assert queue_stats["rejected"] == 0, (name, queue_stats)
-    # End-to-end event latency: the stage takes an event as soon as it is
-    # queued, so the median stays far below a millisecond or two, and
+    # End-to-end event latency: each event is enriched as it is
+    # submitted, so the median stays far below a millisecond or two, and
     # the p99 well under a tenth of a second at bench scale.
     assert report.latency_ms["p50"] <= 2.0, report.latency_ms
     assert report.latency_ms["p99"] <= 100.0, report.latency_ms

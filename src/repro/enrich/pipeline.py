@@ -1,40 +1,52 @@
 """The streaming enrichment pipeline: firehose in, enriched events out.
 
-Topology — one bounded queue and one stage thread::
+Topology — one path per overload policy::
 
-      submit() ──▶ [event queue] ──▶ stage ──▶ sink
-                                      │ take what has queued (≤ batch_size)
-                                      │ → engine.outcome_batch
-                                      └ → whois → consensus → drift,
-                                          per event, in admission order
+      block:  submit() ──▶ enrich on the caller ──▶ sink
 
-**Natural batching.**  The stage blocks for the first queued event, then
-takes whatever else has queued behind it, up to ``batch_size`` — there
-is no linger timer.  An idle pipeline handles a lone event at once, as a
-batch of one; under load, events queue while the previous batch
-resolves, so batches grow exactly when the arrival rate makes them pay.
+      shed:   submit() ──▶ [event queue] ──▶ stage thread ──▶ sink
+                                             │ take what has queued
+                                             │ (≤ batch_size)
 
-**One thread does the work.**  Engine, consensus, the in-memory whois
-registry and drift are CPU-bound Python that the GIL runs one thread at
-a time, so a hand-off between threads would only add a wake-up per
-event; whois runs inline on the stage thread, event by event.
+Either way a batch runs ``engine.outcome_batch``, then whois →
+consensus → drift per event, in admission order.
 
-**Overload is an explicit policy, only at admission.**  When the event
-queue is full, ``block`` makes ``submit`` wait (lossless) and ``shed``
-makes it refuse and count (bounded latency); a slow stage backs up into
-``submit``.  ``submitted == enriched + shed`` is an invariant the soak
-suite asserts.
+**``block`` enriches on the caller.**  Engine, consensus, the in-memory
+whois registry and drift are CPU-bound Python that the GIL runs one
+thread at a time, so handing an event to another thread buys no
+parallelism; it only adds a condition notify, a futex wake and a GIL
+hand-over per event — at a few thousand events/s, more than the work
+itself.  So under ``block`` ``submit`` enriches its event inline, as a
+batch of one, and returns once the sink has it.  There is no queue and
+no thread: a slow pipeline backs up into ``submit`` directly, which is
+exactly the lossless back-pressure ``block`` promises.
+
+**``shed`` keeps a stage thread with natural batching.**  ``shed``
+promises that ``submit`` never waits on work, so it hands each event to
+a bounded queue and one stage thread enriches it.  The stage blocks for
+the first queued event, then takes whatever else has queued behind it,
+up to ``batch_size`` — there is no linger timer.  An idle pipeline
+handles a lone event at once; under load, events queue while the
+previous batch resolves, so batches grow exactly when the arrival rate
+makes them pay.  When the queue is full, ``submit`` refuses the event
+and counts it.  ``submitted == enriched + shed`` is an invariant the
+soak suite asserts under both policies.
 
 **Determinism by construction.**  Enrichment of one event is a pure
-function of the engine/whois state (no wall time is serialized) and the
-stage emits in admission order, so the same seed and stream produce
-byte-identical enriched output and drift alerts whatever the batch
-boundaries.  Timing only moves latency metrics.
+function of the engine/whois state (no wall time is serialized) and
+both paths emit in admission order, so the same seed and stream produce
+byte-identical enriched output and drift alerts whatever the policy or
+the batch boundaries.  Timing only moves latency metrics.
 
-Shutdown: ``drain()`` queues a sentinel behind the last event; the stage
-exits after the batch it arrives in.  A stage that crashes keeps taking
+Failure and shutdown: a sink or engine exception (``SystemExit``
+included) is recorded as a crash, later events are dropped, and
+``drain()`` raises it — on the inline path too, so a bad sink fails
+``drain`` rather than ``submit``.  ``KeyboardInterrupt`` on the inline
+path propagates from ``submit``, so Ctrl-C stops the producer.  Under
+``shed``, ``drain()`` queues a sentinel behind the last event and the
+stage exits after the batch it arrives in; a crashed stage keeps taking
 (and dropping) events until the sentinel, so neither ``submit`` nor
-``drain`` can wedge on a full queue; ``drain`` then raises.
+``drain`` can wedge on a full queue.
 """
 
 from __future__ import annotations
@@ -143,12 +155,16 @@ class BoundedQueue:
 
 @dataclass(frozen=True, slots=True)
 class EnrichConfig:
-    """Pipeline shape: batch cap, admission bound, overload policy."""
+    """Pipeline shape: batch cap, admission bound, overload policy.
+
+    ``batch_size`` and ``event_queue`` shape the ``shed`` stage; under
+    ``block`` every event is enriched inline as a batch of one.
+    """
 
     batch_size: int = 64
     event_queue: int = 2048
-    #: Inert: whois runs on the stage thread.  Kept, and validated,
-    #: because the benchmark's reference run still builds
+    #: Inert: whois runs inline with the rest of the batch.  Kept, and
+    #: validated, because the benchmark's reference run still builds
     #: ``EnrichConfig(whois_workers=1)``.
     whois_workers: int = 2
     overload: str = "block"
@@ -304,11 +320,12 @@ class EnrichReport:
 
 
 class EnrichmentPipeline:
-    """Natural-batching enrichment on one stage thread.
+    """Enrichment inline on the caller (``block``) or on one
+    natural-batching stage thread (``shed``).
 
     Single-producer: exactly one thread may call :meth:`submit` /
     :meth:`run` (admission order *is* output order, so admission must be
-    a sequence).
+    a sequence).  Under ``block`` the sink runs on that thread.
 
     Lifecycle is one-shot: :meth:`start`, submit events, :meth:`drain`.
     :meth:`run` wraps all three around an event iterable with optional
@@ -340,8 +357,8 @@ class EnrichmentPipeline:
         self._crash: BaseException | None = None
         self._started = False
         self._drained = False
-        # Counters below are single-writer each (submit thread or the
-        # stage), so plain ints are exact.
+        # Counters below are single-writer each (the submitting thread or
+        # the shed stage), so plain ints are exact.
         self.submitted = 0
         self.shed = 0
         self.enriched = 0
@@ -366,21 +383,35 @@ class EnrichmentPipeline:
         if self._started:
             raise RuntimeError("pipeline already started")
         self._started = True
-        self._thread = threading.Thread(
-            target=self._stage_loop, name="enrich-stage", daemon=True
-        )
-        self._thread.start()
+        if self.config.overload == "shed":
+            self._thread = threading.Thread(
+                target=self._stage_loop, name="enrich-stage", daemon=True
+            )
+            self._thread.start()
         return self
 
     def submit(self, event) -> bool:
         """Admit one event; ``False`` means it was shed (policy
-        ``shed``, event queue full) and counted."""
+        ``shed``, event queue full) and counted.
+
+        Under ``block`` the event is enriched before this returns.
+        """
         if not self._started or self._drained:
             raise RuntimeError("pipeline not running")
         self.submitted += 1
-        accepted = self._events.put(
-            (time.perf_counter(), event), block=self.config.overload == "block"
-        )
+        if self._thread is None:
+            admitted = time.perf_counter()
+            if self._metrics is not None:
+                self._metrics.inc("enrich.events")
+            if self._crash is None:
+                try:
+                    self._enrich([(admitted, event)])
+                except KeyboardInterrupt:
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - surfaces from drain()
+                    self._crash = exc
+            return True
+        accepted = self._events.put((time.perf_counter(), event), block=False)
         if accepted:
             if self._metrics is not None:
                 self._metrics.inc("enrich.events")
@@ -391,20 +422,25 @@ class EnrichmentPipeline:
         return accepted
 
     def drain(self, timeout_s: float = 60.0) -> None:
-        """Flush everything in flight and stop the stage thread.
+        """Flush everything in flight and stop the pipeline.
 
-        Raises if the stage crashed or failed to stop — a wedged pipeline
-        must fail the test that built it, not hang it.
+        Under ``block`` nothing is in flight once ``submit`` returns, so
+        this only raises a recorded crash.  Under ``shed`` it stops the
+        stage thread first.  Raises if enrichment crashed or the stage
+        failed to stop — a wedged pipeline must fail the test that built
+        it, not hang it.
         """
         if not self._started:
             raise RuntimeError("pipeline never started")
         if self._drained:
             return
         self._drained = True
-        self._events.put(_STOP)  # always blocking: shutdown is not load
-        self._thread.join(timeout_s)
-        if self._thread.is_alive():
-            raise RuntimeError("enrichment stage failed to drain")
+        thread = self._thread
+        if thread is not None:
+            self._events.put(_STOP)  # always blocking: shutdown is not load
+            thread.join(timeout_s)
+            if thread.is_alive():
+                raise RuntimeError("enrichment stage failed to drain")
         if self._crash is not None:
             raise RuntimeError(
                 f"enrichment stage crashed: {self._crash!r}"
@@ -451,7 +487,7 @@ class EnrichmentPipeline:
         duration = time.perf_counter() - started
         return self.report(duration_s=duration, offered_rate=rate)
 
-    # -- the stage -----------------------------------------------------------
+    # -- enrichment ----------------------------------------------------------
 
     def _stage_loop(self) -> None:
         take, limit = self._events.take, self.config.batch_size
@@ -500,7 +536,7 @@ class EnrichmentPipeline:
             record = None
             if self.whois is not None:
                 try:
-                    record = self.whois.lookup(event.address)
+                    record = self.whois.lookup(outcome.address)
                 except UnallocatedAddressError:
                     pass
                 except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
@@ -543,7 +579,8 @@ class EnrichmentPipeline:
     # -- observability -------------------------------------------------------
 
     def _queues(self) -> dict[str, dict[str, int]]:
-        """The event queue's census, plus the stage's in-hand batch
+        """The event queue's census (no puts and a high water of 0
+        under ``block``, which queues nothing), plus the in-hand batch
         under the names ``work`` and ``done`` that the benchmark ledger
         still reads."""
         in_hand = {

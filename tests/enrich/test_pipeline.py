@@ -1,4 +1,8 @@
-"""Pipeline correctness: queues, ordering, enrichment content, stats."""
+"""Pipeline correctness: queues, ordering, enrichment content, stats.
+
+Both paths are covered: ``block`` (the default) enriches on the
+submitting thread, ``shed`` on a natural-batching stage thread.
+"""
 
 import threading
 import time
@@ -253,10 +257,11 @@ def test_events_queued_behind_a_batch_leave_together(engine, whois, event_pool):
     events = EventSource(event_pool, EventConfig(seed=61)).take(7)
     gated = GatedWhois(whois)
     out = []
+    # Only the shed stage queues and batches; its queue holds all seven.
     pipeline = EnrichmentPipeline(
         engine,
         whois=gated,
-        config=EnrichConfig(batch_size=4, whois_workers=2),
+        config=EnrichConfig(batch_size=4, whois_workers=2, overload="shed"),
         sink=lambda enriched: out.append((enriched, pipeline.batches)),
     )
     pipeline.start()
@@ -312,10 +317,70 @@ def test_a_crashed_stage_fails_drain_instead_of_wedging(engine, event_pool, erro
         raise error("sink exploded")
 
     pipeline = EnrichmentPipeline(
-        engine, config=EnrichConfig(batch_size=4, event_queue=4), sink=sink
+        engine,
+        config=EnrichConfig(batch_size=4, event_queue=4, overload="shed"),
+        sink=sink,
     )
     pipeline.start()
     for event in events:  # more than the queue holds: the stage must keep taking
         pipeline.submit(event)
     with pytest.raises(RuntimeError, match="sink exploded"):
         pipeline.drain()
+
+
+def test_block_enriches_on_the_submitting_thread(engine, whois, event_pool):
+    events = EventSource(event_pool, EventConfig(seed=73)).take(20)
+    recorder = GatedWhois(whois)
+    recorder.entered.set()  # never park: this test only records threads
+    sink_threads = []
+    pipeline = EnrichmentPipeline(
+        engine,
+        whois=recorder,
+        sink=lambda _enriched: sink_threads.append(threading.current_thread().name),
+    ).start()
+    assert "enrich-stage" not in {thread.name for thread in threading.enumerate()}
+    for count, event in enumerate(events, 1):
+        assert pipeline.submit(event)
+        assert len(sink_threads) == count  # the sink has it before submit returns
+    pipeline.drain()
+
+    caller = threading.current_thread().name
+    assert recorder.threads == [caller] * 20 == sink_threads
+    stats = pipeline.stats()
+    assert stats["batches"] == stats["enriched"] == 20
+    assert stats["queues"]["events"] == {
+        "capacity": 2048, "depth": 0, "high_water": 0, "puts": 0, "rejected": 0,
+    }
+    assert stats["queues"]["work"]["high_water"] == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, SystemExit])
+def test_an_inline_sink_crash_fails_drain_not_submit(engine, event_pool, error):
+    events = EventSource(event_pool, EventConfig(seed=79)).take(10)
+    calls = []
+
+    def sink(enriched):
+        calls.append(enriched.event.seq)
+        raise error("sink exploded")
+
+    pipeline = EnrichmentPipeline(engine, sink=sink).start()
+    for event in events:
+        assert pipeline.submit(event)  # raises nothing: the crash is recorded
+    assert calls == [0]  # events after the crash are dropped
+    assert pipeline.submitted == 10
+    with pytest.raises(RuntimeError, match="sink exploded"):
+        pipeline.drain()
+
+
+def test_keyboard_interrupt_in_an_inline_sink_propagates_from_submit(
+    engine, event_pool
+):
+    event = EventSource(event_pool, EventConfig(seed=83)).take(1)[0]
+
+    def sink(_enriched):
+        raise KeyboardInterrupt
+
+    pipeline = EnrichmentPipeline(engine, sink=sink).start()
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.submit(event)
+    pipeline.drain()  # an interrupt is the caller stopping, not a crash
