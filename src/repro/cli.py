@@ -38,7 +38,7 @@ Commands:
 The global ``--verbose`` flag logs each build phase and pipeline stage to
 stderr as it completes; ``run --metrics PATH`` writes the JSON run
 manifest (span tree + counters + scenario config).  Without either, the
-no-op tracer is used and output is identical to an uninstrumented build.
+no-op trace is used and output is identical to an uninstrumented build.
 """
 
 from __future__ import annotations
@@ -47,7 +47,13 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.obs import NOOP_TRACER, MetricsRegistry, StageLogger, Tracer, render_span_tree
+from repro.obs import (
+    NOOP_TRACE,
+    MetricsRegistry,
+    RequestTrace,
+    StageLogger,
+    render_span_tree,
+)
 
 # The study-side modules (pipeline, scenario build, database formats)
 # are imported by the subcommands that use them: `serve --snapshots`
@@ -506,7 +512,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.serve.plane import PLANE_SUFFIX, save_plane
         from repro.serve.snapshot import SnapshotError, save_index_set
 
-        tracer = Tracer(listener=StageLogger()) if args.verbose else NOOP_TRACER
+        tracer = (
+            RequestTrace("compile", listener=StageLogger())
+            if args.verbose
+            else NOOP_TRACE
+        )
         tier = build_scale_tier(interfaces=args.stream, seed=args.seed, tracer=tracer)
         try:
             root = save_index_set(tier.indexes, args.directory)
@@ -530,17 +540,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     # Instrumentation is opt-in: --verbose, run --metrics, and trace all
-    # need a recording tracer; everything else keeps the zero-cost no-op.
+    # need a recording trace; everything else keeps the zero-cost no-op.
     instrumented = (
         args.verbose
         or args.command == "trace"
         or bool(getattr(args, "metrics", None))
     )
     if instrumented:
-        tracer = Tracer(listener=StageLogger() if args.verbose else None)
+        tracer = RequestTrace(
+            args.command, listener=StageLogger() if args.verbose else None
+        )
         metrics = MetricsRegistry()
     else:
-        tracer = NOOP_TRACER
+        tracer = NOOP_TRACE
         metrics = None
 
     from repro.scenario.build import build_scenario
@@ -646,7 +658,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         RouterGeolocationStudy.from_scenario(
             scenario, tracer=tracer, metrics=metrics
         ).run()
-        for root in tracer.roots:
+        for root in tracer.to_dict()["spans"]:
             print(render_span_tree(root))
             print()
         print(metrics.render())

@@ -49,7 +49,7 @@ from repro.geo.coordinates import GeoPoint
 from repro.geodb.intervals import sweep_entry_intervals
 from repro.geodb.record import GeoRecord
 from repro.net.ip import IPv4Address, parse_address
-from repro.obs.span import NOOP_TRACER
+from repro.obs.reqtrace import NOOP_TRACE
 
 __all__ = [
     "BLOCK_LEVEL",
@@ -362,7 +362,7 @@ class LookupFrame:
         registry (``attach_metrics``) is used instead, if any.
         """
         if tracer is None:
-            tracer = NOOP_TRACER
+            tracer = NOOP_TRACE
         started = time.perf_counter()
         with tracer.span("frame_build") as span:
             positions: dict[int, int] = {}
@@ -440,8 +440,9 @@ class LookupFrame:
                         prefix_lengths[name],
                     )
 
-            span.count(len(pool))
-            span.set(databases=len(columns), workers=workers or 1)
+            span.set(
+                items=len(pool), databases=len(columns), workers=workers or 1
+            )
 
         if metrics is not None:
             metrics.inc("frame.builds")

@@ -43,7 +43,7 @@ from repro.net.ip import IPv4Address
 from repro.net.registry import TeamCymruWhois
 from repro.obs.manifest import RunManifest, sha256_digest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import NOOP_TRACER, NoopTracer, Tracer
+from repro.obs.reqtrace import NOOP_TRACE, RequestTrace
 
 DEFAULT_CITY_RANGE_KM = 40.0
 
@@ -294,9 +294,10 @@ class StudyResult:
 class RouterGeolocationStudy:
     """Runs the full evaluation over assembled datasets.
 
-    ``tracer`` and ``metrics`` opt the run into observability: every
-    analysis stage gets a timing span, the databases and whois service
-    emit ``geodb.*``/``whois.*`` counters, and the produced
+    ``tracer`` (a :class:`~repro.obs.reqtrace.RequestTrace`) and
+    ``metrics`` opt the run into observability: every analysis stage
+    gets a span row, the databases and whois service emit
+    ``geodb.*``/``whois.*`` counters, and the produced
     :class:`StudyResult` carries a :class:`~repro.obs.manifest.RunManifest`.
     Both default to no-ops, so an uninstrumented run executes the exact
     pre-observability code path.
@@ -313,7 +314,7 @@ class RouterGeolocationStudy:
         gazetteer: Gazetteer,
         city_range_km: float = DEFAULT_CITY_RANGE_KM,
         case_study_database: str = "MaxMind-Paid",
-        tracer: Tracer | NoopTracer | None = None,
+        tracer: RequestTrace | None = None,
         metrics: MetricsRegistry | None = None,
         scenario_config=None,
         frame_workers: int | None = None,
@@ -339,7 +340,7 @@ class RouterGeolocationStudy:
         #: (the paper singles out MaxMind-Paid); ``run(all_databases=True)``
         #: studies every snapshot instead.
         self.case_study_database = case_study_database
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.tracer = tracer if tracer is not None else NOOP_TRACE
         self.metrics = metrics
         self.scenario_config = scenario_config
         #: The study pool's lookup frame, built on the first run.
@@ -356,7 +357,7 @@ class RouterGeolocationStudy:
         cls,
         scenario,
         *,
-        tracer: Tracer | NoopTracer | None = None,
+        tracer: RequestTrace | None = None,
         metrics: MetricsRegistry | None = None,
         frame_workers: int | None = None,
     ) -> "RouterGeolocationStudy":
@@ -389,9 +390,10 @@ class RouterGeolocationStudy:
             "summary_sha256": sha256_digest(result.render_summary()),
             "markdown_sha256": sha256_digest(result.render_markdown()),
         }
+        tracer = self.tracer
         return RunManifest.build(
             config=self._manifest_config(),
-            spans=self.tracer.roots,
+            spans=() if tracer is NOOP_TRACE else tracer.to_dict()["spans"],
             metrics=self.metrics,
             digests=digests,
         )
@@ -427,10 +429,10 @@ class RouterGeolocationStudy:
             frame = self.lookup_frame()
             with tracer.span("coverage") as span:
                 coverage = coverage_table(frame, self.ark_addresses)
-                span.count(len(self.ark_addresses))
+                span.set(items=len(self.ark_addresses))
             with tracer.span("consistency") as span:
                 consistency = consistency_analysis(frame, self.ark_addresses)
-                span.count(len(self.ark_addresses))
+                span.set(items=len(self.ark_addresses))
             with tracer.span("city_range") as span:
                 city_range = calibrate_city_range(
                     self.databases, self.gazetteer, city_range_km
@@ -440,10 +442,10 @@ class RouterGeolocationStudy:
                 table1_rows = table1(
                     self.dns_ground_truth, self.rtt_ground_truth, self.whois
                 )
-                span.count(len(ground_truth))
+                span.set(items=len(ground_truth))
             with tracer.span("accuracy_overall") as span:
                 overall = evaluate_all(frame, ground_truth, city_range_km=city_range_km)
-                span.count(len(ground_truth))
+                span.set(items=len(ground_truth))
             with tracer.span("accuracy_by_rir") as span:
                 by_rir = evaluate_by_rir(
                     frame, ground_truth, self.whois, city_range_km=city_range_km
@@ -457,7 +459,7 @@ class RouterGeolocationStudy:
                     countries=tuple(country for country, _ in top20),
                     city_range_km=city_range_km,
                 )
-                span.count(len(by_country))
+                span.set(items=len(by_country))
             with tracer.span("accuracy_by_source") as span:
                 by_source = evaluate_by_source(
                     frame, ground_truth, city_range_km=city_range_km
@@ -479,12 +481,12 @@ class RouterGeolocationStudy:
                     )
                     for name in case_names
                 }
-                span.count(len(arin_cases))
+                span.set(items=len(arin_cases))
             with tracer.span("recommendations") as span:
                 recommendations = build_recommendations(
                     coverage, overall, by_rir, by_source
                 )
-                span.count(len(recommendations))
+                span.set(items=len(recommendations))
             run_span.set(databases=len(self.databases))
 
         result = StudyResult(
@@ -501,6 +503,6 @@ class RouterGeolocationStudy:
             recommendations=recommendations,
             city_range_km=self.city_range_km,
         )
-        if tracer.enabled or self.metrics is not None:
+        if tracer is not NOOP_TRACE or self.metrics is not None:
             result = replace(result, manifest=self._build_manifest(result))
         return result

@@ -182,38 +182,6 @@ class EnrichConfig:
             )
 
 
-def _answer_to_json(answer: IndexAnswer) -> dict[str, Any]:
-    record = answer.record
-    return {
-        "prefix": answer.prefix,
-        "country": record.country,
-        "region": record.region,
-        "city": record.city,
-        "latitude": record.latitude,
-        "longitude": record.longitude,
-        "resolution": record.resolution.value,
-    }
-
-
-def _consensus_to_json(consensus: ConsensusAnswer) -> dict[str, Any]:
-    location = consensus.location
-    return {
-        "country": consensus.country,
-        "country_votes": consensus.country_votes,
-        "location": (
-            None
-            if location is None
-            else {"latitude": location.lat, "longitude": location.lon}
-        ),
-        "location_votes": consensus.location_votes,
-        "voters": consensus.voters,
-        "country_disagreement": consensus.country_disagreement,
-        "city_disagreement": consensus.city_disagreement,
-        "degraded": consensus.degraded,
-        "quorum": consensus.quorum,
-    }
-
-
 def _whois_to_json(record: WhoisRecord) -> dict[str, Any]:
     return {
         "asn": record.asn,
@@ -248,11 +216,11 @@ class EnrichedEvent:
         return {
             "event": self.event.to_dict(),
             "answers": {
-                vendor: (None if answer is None else _answer_to_json(answer))
+                vendor: (None if answer is None else answer.to_dict())
                 for vendor, answer in sorted(self.answers.items())
             },
             "consensus": (
-                None if self.consensus is None else _consensus_to_json(self.consensus)
+                None if self.consensus is None else self.consensus.to_dict()
             ),
             "whois": None if self.whois is None else _whois_to_json(self.whois),
             "degraded": self.degraded,

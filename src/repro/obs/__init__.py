@@ -4,9 +4,13 @@ The study pipeline runs ten analysis stages over datasets built in six
 phases; this package makes that execution observable without touching the
 numbers it produces:
 
-* :mod:`repro.obs.span` — nestable tracing spans (:class:`Tracer`) that
-  record wall-time, item counts, and attributes, plus a no-op variant
-  (:data:`NOOP_TRACER`) that costs nothing when instrumentation is off;
+* :mod:`repro.obs.reqtrace` — the one span model: a
+  :class:`RequestTrace` of flat :class:`SpanRecord` rows, written per
+  request by the server (``begin``/``end``) and per run by the study,
+  scenario build and compile (the nesting ``span()`` context manager);
+  the no-op :data:`NOOP_TRACE` that costs nothing when tracing is off;
+  :func:`render_span_tree`; and the :class:`TraceRing` of the slowest
+  recent requests (``/tracez``);
 * :mod:`repro.obs.metrics` — process-wide named counters and histograms
   (``geodb.lookups``, ``whois.queries``, per-database resolution counts);
 * :mod:`repro.obs.quantiles` — the log-bucketed
@@ -17,16 +21,13 @@ numbers it produces:
 * :mod:`repro.obs.prom` — Prometheus text exposition for the registry
   (``/metricsz``) plus the strict format validator the tests and CI
   scrape through;
-* :mod:`repro.obs.reqtrace` — per-request span records
-  (:class:`RequestTrace`) and the :class:`TraceRing` of the slowest
-  recent requests (``/tracez``);
 * :mod:`repro.obs.logging` — a human-readable stage log to stderr, driven
   by span completion (the CLI's ``--verbose``);
 * :mod:`repro.obs.manifest` — the JSON *run manifest*: span tree +
   counters + scenario config + result digests in one reproducible
   artifact (the CLI's ``run --metrics PATH``).
 
-Instrumentation is opt-in everywhere: the default tracer is a no-op and
+Instrumentation is opt-in everywhere: the default trace is a no-op and
 the default metrics registry is ``None``, so uninstrumented runs execute
 the exact pre-observability code path.
 """
@@ -36,8 +37,14 @@ from repro.obs.manifest import RunManifest, manifest_from_json
 from repro.obs.metrics import CounterCell, MetricsRegistry
 from repro.obs.prom import render_prometheus, validate_exposition
 from repro.obs.quantiles import BucketHistogram, Histogram
-from repro.obs.reqtrace import RequestTrace, TraceRing, new_trace_id
-from repro.obs.span import NOOP_TRACER, NoopTracer, Span, Tracer, render_span_tree
+from repro.obs.reqtrace import (
+    NOOP_TRACE,
+    RequestTrace,
+    SpanRecord,
+    TraceRing,
+    new_trace_id,
+    render_span_tree,
+)
 from repro.obs.window import RollingWindow
 
 __all__ = [
@@ -45,15 +52,13 @@ __all__ = [
     "CounterCell",
     "Histogram",
     "MetricsRegistry",
-    "NOOP_TRACER",
-    "NoopTracer",
+    "NOOP_TRACE",
     "RequestTrace",
     "RollingWindow",
     "RunManifest",
-    "Span",
+    "SpanRecord",
     "StageLogger",
     "TraceRing",
-    "Tracer",
     "manifest_from_json",
     "new_trace_id",
     "render_prometheus",

@@ -5,8 +5,10 @@ after the fact:
 
 * ``config`` — the scenario knobs the run was a pure function of (seed,
   scale, city_range_km, routing);
-* ``spans`` — the span forest (scenario build phases + the ten pipeline
-  stages) with wall-times, item counts, and attributes;
+* ``spans`` — the run trace's span forest (scenario build phases + the
+  ten pipeline stages), in the node shape ``/tracez`` serves:
+  ``{name, start_ms, duration_ms, attrs, children}``, with item counts
+  as the ``items`` attribute;
 * ``counters`` / ``histograms`` — the metrics registry snapshot
   (``geodb.*``, ``whois.*``, ``scenario.*`` families);
 * ``digests`` — SHA-256 digests of the rendered reports, so two runs can
@@ -24,11 +26,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Span
 
 __all__ = ["RunManifest", "manifest_from_json", "sha256_digest"]
 
-MANIFEST_VERSION = 1
+#: 2: span nodes are ``RequestTrace.to_dict`` nodes (``duration_ms``,
+#: ``attrs``) instead of ``duration_s``/``items``/``attributes``.
+MANIFEST_VERSION = 2
 
 
 def sha256_digest(text: str) -> str:
@@ -53,17 +56,15 @@ class RunManifest:
         cls,
         *,
         config: Mapping[str, Any],
-        spans: Sequence[Span | Mapping[str, Any]] = (),
+        spans: Sequence[Mapping[str, Any]] = (),
         metrics: MetricsRegistry | None = None,
         digests: Mapping[str, str] | None = None,
     ) -> "RunManifest":
-        """Assemble a manifest from live instrumentation objects."""
-        span_dicts = tuple(
-            span.to_dict() if isinstance(span, Span) else dict(span) for span in spans
-        )
+        """Assemble a manifest from a trace's ``to_dict()["spans"]`` and
+        a live metrics registry."""
         return cls(
             config=dict(config),
-            spans=span_dicts,
+            spans=tuple(dict(span) for span in spans),
             counters=metrics.counters_snapshot() if metrics is not None else {},
             histograms=metrics.histograms_snapshot() if metrics is not None else {},
             counter_families=metrics.families() if metrics is not None else (),

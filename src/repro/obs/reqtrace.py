@@ -1,20 +1,22 @@
-"""Per-request tracing: lightweight span records and the slow-trace ring.
+"""Tracing: flat span rows, the one span model, and the slow-trace ring.
 
-The study pipeline's :class:`~repro.obs.span.Tracer` records one tree
-per *run*; a server needs one tiny tree per *request* — cheap enough to
-build on every lookup, rich enough to answer "why was this request slow,
-and which path produced its answer" ("Overconfident Coordinates" argues
-a geolocation system must be able to attribute *how* an answer was made;
-the trace's ``path`` field is exactly that attribution: ``plane``,
-``live``, ``degraded``, or ``mixed`` for a batch that rode several).
+A :class:`RequestTrace` holds flat :class:`SpanRecord` rows — name,
+parent index, start offset, duration, attributes — capped per trace (a
+10K batch must not materialise 10K span objects; overflow is counted,
+not stored).  :meth:`RequestTrace.to_dict` rebuilds the parent links
+into nested ``{name, start_ms, duration_ms, attrs, children}`` nodes,
+the one span shape ``/tracez`` and the run manifest both carry.
 
-A :class:`RequestTrace` is created at the HTTP edge (honouring a
-client-sent ``X-Request-Id`` or minting one), threaded through the
-engine, and fed flat :class:`SpanRecord` rows — name, parent index,
-start offset, duration, attributes.  Rows are capped per trace (a 10K
-batch must not materialise 10K span objects; overflow is counted, not
-stored).  :meth:`RequestTrace.to_dict` rebuilds the parent links into
-the nested span tree ``/tracez`` serves.
+The server builds a trace per *request* at the HTTP edge (honouring a
+client-sent ``X-Request-Id`` or minting one) and the engine writes it
+with ``begin``/``end``; its ``path`` field attributes *how* the answer
+was made — ``plane``, ``live``, ``degraded``, or ``mixed`` for a batch
+that rode several ("Overconfident Coordinates" argues a geolocation
+system must be able to say).  The study, scenario build and compile
+write a trace per *run* through the nesting :meth:`RequestTrace.span`,
+whose optional listener (the CLI's ``--verbose``) sees each row close;
+:func:`render_span_tree` prints that tree, and :data:`NOOP_TRACE` is the
+inert default when tracing is off.
 
 A :class:`TraceRing` keeps the N slowest *recent* finished traces: a
 fixed-size min-heap keyed on duration, with entries past ``max_age_s``
@@ -31,15 +33,18 @@ import math
 import threading
 import time
 import uuid
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "DEFAULT_MAX_SPANS",
     "DEFAULT_RING_CAPACITY",
+    "NOOP_TRACE",
     "RequestTrace",
     "SpanRecord",
     "TraceRing",
     "new_trace_id",
+    "render_span_tree",
 ]
 
 #: Span rows kept per trace; further spans are counted as dropped.
@@ -76,6 +81,14 @@ class SpanRecord:
         self.duration_ms = duration_ms
         self.attrs = attrs
 
+    def set(self, **attrs: Any) -> None:
+        """Attach (or overwrite) attributes — ``items=n`` for a stage
+        that knows how much it processed."""
+        if self.attrs is None:
+            self.attrs = attrs
+        else:
+            self.attrs.update(attrs)
+
     def to_dict(self) -> dict[str, Any]:
         """The row as a JSON-ready node (durations rounded to µs)."""
         node: dict[str, Any] = {
@@ -91,9 +104,11 @@ class SpanRecord:
 class RequestTrace:
     """One request's id, path attribution, and bounded span rows.
 
-    A trace has a single writer — the thread serving its request — and
-    is only read (``/tracez``, the slow-request log) once finished, so
-    recording takes no lock.
+    A trace has a single writer — the thread serving its request, or
+    the run's thread — and is only read (``/tracez``, the slow-request
+    log, the run manifest) once finished, so recording takes no lock.
+    ``listener(row, depth)``, if given, is called as each
+    :meth:`span` row closes.
     """
 
     __slots__ = (
@@ -105,9 +120,11 @@ class RequestTrace:
         "duration_ms",
         "dropped_spans",
         "max_spans",
+        "listener",
         "_spans",
         "_t0",
         "_mono",
+        "_open",
     )
 
     def __init__(
@@ -116,6 +133,7 @@ class RequestTrace:
         *,
         trace_id: str | None = None,
         max_spans: int = DEFAULT_MAX_SPANS,
+        listener: Callable[[SpanRecord, int], None] | None = None,
     ):
         self.trace_id = trace_id if trace_id else new_trace_id()
         self.endpoint = endpoint
@@ -125,6 +143,9 @@ class RequestTrace:
         self.duration_ms: float | None = None
         self.dropped_spans = 0
         self.max_spans = max_spans
+        self.listener = listener
+        # ``_open`` (the innermost open ``span()`` row) is set by the
+        # first ``span()``: a request trace never pays for it.
         self._spans: list[SpanRecord] = []
         self._t0 = time.perf_counter()
         self._mono = time.monotonic()
@@ -162,6 +183,34 @@ class RequestTrace:
             span.start_ms = max(0.0, span.start_ms - duration_ms)
             span.duration_ms = duration_ms
         return index
+
+    @contextmanager
+    def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
+        """Record the ``with`` body as one row nested under the innermost
+        open ``span()``; yields the row, so the body can
+        :meth:`~SpanRecord.set` attributes on it."""
+        try:
+            parent = self._open
+        except AttributeError:
+            parent = -1
+        index = self.begin(name, parent=parent, **attrs)
+        if index < 0:
+            # Over the cap: counted as dropped, the row is kept nowhere.
+            yield SpanRecord(name, parent, 0.0, None, None)
+            return
+        row = self._spans[index]
+        self._open = index
+        try:
+            yield row
+        finally:
+            self._open = parent
+            self.end(index)
+            if self.listener is not None:
+                depth = 0
+                while parent >= 0:
+                    depth += 1
+                    parent = self._spans[parent].parent
+                self.listener(row, depth)
 
     def note_path(self, path: str) -> None:
         """Attribute this request to a serving path.
@@ -214,6 +263,55 @@ class RequestTrace:
         if self.dropped_spans:
             tree["dropped_spans"] = self.dropped_spans
         return tree
+
+
+class _InertTrace:
+    """The no-op trace: ``span()`` returns this same object, whose
+    ``with`` body and :meth:`set` record nothing."""
+
+    __slots__ = ()
+
+    def span(self, name: str, **attrs: Any) -> "_InertTrace":
+        return self
+
+    def set(self, **attrs: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_InertTrace":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
+
+
+#: The shared no-op trace — the default for every optional ``tracer=``.
+NOOP_TRACE = _InertTrace()
+
+
+def render_span_tree(root: Mapping[str, Any]) -> str:
+    """One span node of :meth:`RequestTrace.to_dict` as aligned text:
+    each span's duration, its share of the root's, and its attributes
+    (what ``repro trace`` prints per stage)."""
+    total = root["duration_ms"] or 1e-9
+    rows: list[tuple[str, float, str]] = []
+
+    def visit(node: Mapping[str, Any], depth: int) -> None:
+        attrs = node.get("attrs", {})
+        extras = "  ".join(f"{key}={value}" for key, value in attrs.items())
+        rows.append(("  " * depth + node["name"], node["duration_ms"], extras))
+        for child in node.get("children", ()):
+            visit(child, depth + 1)
+
+    visit(root, 0)
+    name_width = max(len(name) for name, _, _ in rows)
+    lines = []
+    for name, duration_ms, extras in rows:
+        share = duration_ms / total
+        line = f"{name.ljust(name_width)}  {duration_ms:10.1f} ms  {share:6.1%}"
+        if extras:
+            line += f"  {extras}"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 class TraceRing:

@@ -38,7 +38,7 @@ from repro.groundtruth.record import GroundTruthSet, merge_ground_truth
 from repro.groundtruth.rttproximity import RttProximityResult, build_rtt_ground_truth
 from repro.net.ip import IPv4Address
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import NOOP_TRACER, NoopTracer, Tracer
+from repro.obs.reqtrace import NOOP_TRACE, RequestTrace
 from repro.scenario.config import ScenarioConfig
 from repro.topology.ark import ArkMonitor, ArkTopoDataset, collect_topology, place_monitors
 from repro.topology.builder import SyntheticInternet, TopologyBuilder
@@ -92,7 +92,7 @@ def build_scenario(
     scale: float = 1.0,
     config: ScenarioConfig | None = None,
     *,
-    tracer: Tracer | NoopTracer | None = None,
+    tracer: RequestTrace | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> Scenario:
     """Assemble a scenario (see module docstring for the steps).
@@ -111,12 +111,12 @@ def build_scenario(
     if config is None:
         config = ScenarioConfig(seed=seed, scale=scale)
     if tracer is None:
-        tracer = NOOP_TRACER
+        tracer = NOOP_TRACE
 
     with tracer.span("build_scenario", seed=config.seed, scale=config.scale):
         with tracer.span("topology") as span:
             internet = TopologyBuilder(config.resolved_topology()).build()
-            span.count(internet.interface_count())
+            span.set(items=internet.interface_count())
         hints = HintDictionary(internet.gazetteer)
         factory = HostnameFactory(hints)
 
@@ -124,7 +124,7 @@ def build_scenario(
             rng_rdns = random.Random(config.seed + 1)
             rdns = RdnsService.build(internet, factory, rng_rdns, config.rdns)
             drop = DropEngine.with_ground_truth_rules(hints)
-            span.count(len(rdns))
+            span.set(items=len(rdns))
 
         # Ark campaign (§2.1).
         with tracer.span("ark_campaign") as span:
@@ -135,8 +135,11 @@ def build_scenario(
                 internet, monitors, config.scaled_ark_targets(), rng_ark,
                 engine=ark_engine,
             )
-            span.count(len(ark_dataset))
-            span.set(monitors=len(monitors), traces=ark_dataset.traces_run)
+            span.set(
+                items=len(ark_dataset),
+                monitors=len(monitors),
+                traces=ark_dataset.traces_run,
+            )
 
         # Atlas campaign (§2.3.2).
         with tracer.span("atlas_campaign") as span:
@@ -162,8 +165,11 @@ def build_scenario(
                     internet, probes, atlas_targets, rng_atlas, engine=atlas_engine
                 )
             )
-            span.count(len(measurements))
-            span.set(probes=len(probes), targets=len(atlas_targets))
+            span.set(
+                items=len(measurements),
+                probes=len(probes),
+                targets=len(atlas_targets),
+            )
 
         # Ground truth (§2.3).
         with tracer.span("ground_truth") as span:
@@ -171,8 +177,11 @@ def build_scenario(
             rtt_result = build_rtt_ground_truth(
                 measurements, probes, config.rtt_proximity
             )
-            span.count(len(dns_result.dataset) + len(rtt_result.dataset))
-            span.set(dns=len(dns_result.dataset), rtt=len(rtt_result.dataset))
+            span.set(
+                items=len(dns_result.dataset) + len(rtt_result.dataset),
+                dns=len(dns_result.dataset),
+                rtt=len(rtt_result.dataset),
+            )
 
         # Database snapshots.
         with tracer.span("databases") as span:
@@ -180,7 +189,7 @@ def build_scenario(
                 internet, config.seed + config.database_seed_offset, rdns=rdns
             )
             databases = generator.generate_paper_set()
-            span.count(sum(len(database) for database in databases.values()))
+            span.set(items=sum(len(database) for database in databases.values()))
 
     if metrics is not None:
         metrics.inc("scenario.interfaces", internet.interface_count())
@@ -236,7 +245,7 @@ def build_scale_tier(
     seed: int = 2016,
     *,
     config: "StreamTierConfig | None" = None,  # noqa: F821
-    tracer: Tracer | NoopTracer | None = None,
+    tracer: RequestTrace | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ScaleTier:
     """Compile the full serving stack for a streamed 1M+-interface world.
@@ -267,7 +276,7 @@ def build_scale_tier(
     if config is None:
         config = StreamTierConfig(seed=seed, interfaces=interfaces)
     if tracer is None:
-        tracer = NOOP_TRACER
+        tracer = NOOP_TRACE
 
     phases: dict[str, float] = {}
     with tracer.span("build_scale_tier", interfaces=config.interfaces, seed=config.seed):
@@ -275,7 +284,7 @@ def build_scale_tier(
             t0 = time.perf_counter()
             world = StreamedWorld.build(config)
             phases["world_s"] = time.perf_counter() - t0
-            span.count(world.interface_count)
+            span.set(items=world.interface_count)
 
         generator = StreamingSnapshotGenerator(
             world, config.seed + ScenarioConfig().database_seed_offset
@@ -289,7 +298,7 @@ def build_scale_tier(
                     profile.name, generator.iter_entries(profile)
                 )
                 phases[f"compile_{profile.vendor_key}_s"] = time.perf_counter() - t0
-                span.count(index.interval_count)
+                span.set(items=index.interval_count)
             indexes[profile.name] = index
             vendor_stats[profile.name] = {
                 "entries": index.source_entries,
@@ -305,7 +314,7 @@ def build_scale_tier(
                 ),
             )
             phases["compile_derived_s"] = time.perf_counter() - t0
-            span.count(index.interval_count)
+            span.set(items=index.interval_count)
         indexes[derivation.name] = index
         vendor_stats[derivation.name] = {
             "entries": index.source_entries,
@@ -316,7 +325,7 @@ def build_scale_tier(
             t0 = time.perf_counter()
             plane = compile_plane(indexes)
             phases["plane_s"] = time.perf_counter() - t0
-            span.count(plane.interval_count)
+            span.set(items=plane.interval_count)
 
     if metrics is not None:
         metrics.inc("scale_tier.interfaces", world.interface_count)

@@ -66,7 +66,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.majority import DEFAULT_CITY_RANGE_KM, majority_of_records
 from repro.geo.coordinates import GeoPoint
@@ -284,6 +284,26 @@ class ConsensusAnswer:
     city_disagreement: bool
     degraded: bool = False
     quorum: bool = True
+
+    def to_dict(self) -> dict[str, Any]:
+        """The vote's JSON object, as ``/lookup`` and enriched events
+        render it (the address itself is the caller's to report)."""
+        location = self.location
+        return {
+            "country": self.country,
+            "country_votes": self.country_votes,
+            "location": (
+                None
+                if location is None
+                else {"latitude": location.lat, "longitude": location.lon}
+            ),
+            "location_votes": self.location_votes,
+            "voters": self.voters,
+            "country_disagreement": self.country_disagreement,
+            "city_disagreement": self.city_disagreement,
+            "degraded": self.degraded,
+            "quorum": self.quorum,
+        }
 
 
 class ServingEngine:

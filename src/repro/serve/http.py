@@ -294,21 +294,6 @@ _inet_ntoa = socket.inet_ntoa
 _PREFIX_KEY = '"prefix": '
 
 
-def _answer_to_json(answer: IndexAnswer | None) -> dict[str, Any] | None:
-    if answer is None:
-        return None
-    record = answer.record
-    return {
-        "prefix": answer.prefix,
-        "country": record.country,
-        "region": record.region,
-        "city": record.city,
-        "latitude": record.latitude,
-        "longitude": record.longitude,
-        "resolution": record.resolution.value,
-    }
-
-
 def _record_fragments(record, memo: dict) -> tuple[str, str, Any]:
     """``(pre, post, record)``: the record's answer JSON split around the
     prefix value.  Keyed by identity — a dataclass hash re-hashes every
@@ -316,7 +301,7 @@ def _record_fragments(record, memo: dict) -> tuple[str, str, Any]:
     be reused while the entry exists."""
     entry = memo.get(id(record))
     if entry is None:
-        text = _encode(_answer_to_json(IndexAnswer("", record)))
+        text = _encode(IndexAnswer("", record).to_dict())
         # Only the key itself can hold this text: any quote inside a
         # string value is escaped.
         cut = text.index(_PREFIX_KEY + '""') + len(_PREFIX_KEY)
@@ -379,29 +364,11 @@ def _consensus_body(consensus: ConsensusAnswer, cell, memo: dict) -> str:
     """The ``consensus`` object, memoized per plane cell (``cell`` is
     ``None`` off the plane, where every consensus is encoded afresh)."""
     if cell is None:
-        return _encode(_consensus_to_json(consensus))
+        return _encode(consensus.to_dict())
     entry = memo.get(id(cell))
     if entry is None:
-        entry = memo[id(cell)] = (_encode(_consensus_to_json(consensus)), cell)
+        entry = memo[id(cell)] = (_encode(consensus.to_dict()), cell)
     return entry[0]
-
-
-def _consensus_to_json(consensus: ConsensusAnswer) -> dict[str, Any]:
-    return {
-        "country": consensus.country,
-        "country_votes": consensus.country_votes,
-        "location": (
-            {"latitude": consensus.location.lat, "longitude": consensus.location.lon}
-            if consensus.location is not None
-            else None
-        ),
-        "location_votes": consensus.location_votes,
-        "voters": consensus.voters,
-        "country_disagreement": consensus.country_disagreement,
-        "city_disagreement": consensus.city_disagreement,
-        "degraded": consensus.degraded,
-        "quorum": consensus.quorum,
-    }
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.geodb.database import DatabaseEntry, GeoDatabase
 from repro.geodb.intervals import ADDRESS_SPACE_END as _ADDRESS_SPACE_END
@@ -75,6 +75,20 @@ class IndexAnswer:
 
     prefix: str
     record: GeoRecord
+
+    def to_dict(self) -> dict[str, Any]:
+        """The answer's JSON object, as ``/lookup``, ``/batch`` and
+        enriched events all render it."""
+        record = self.record
+        return {
+            "prefix": self.prefix,
+            "country": record.country,
+            "region": record.region,
+            "city": record.city,
+            "latitude": record.latitude,
+            "longitude": record.longitude,
+            "resolution": record.resolution.value,
+        }
 
 
 class CompiledIndex:

@@ -2,20 +2,39 @@
 
 import json
 
-from repro.obs.manifest import RunManifest, manifest_from_json, sha256_digest
+from repro.obs.manifest import (
+    MANIFEST_VERSION,
+    RunManifest,
+    manifest_from_json,
+    sha256_digest,
+)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Tracer
+from repro.obs.reqtrace import RequestTrace
+
+#: Every key a span node may carry, in the manifest and on ``/tracez``.
+SPAN_NODE_KEYS = {"name", "start_ms", "duration_ms", "attrs", "children"}
 
 
-def _traced_run() -> Tracer:
-    tracer = Tracer()
+def _traced_run() -> RequestTrace:
+    tracer = RequestTrace("run")
     with tracer.span("run") as run:
         run.set(databases=2)
         with tracer.span("coverage") as span:
-            span.count(10)
+            span.set(items=10)
         with tracer.span("accuracy"):
             pass
     return tracer
+
+
+def _spans(tracer: RequestTrace) -> list:
+    return tracer.to_dict()["spans"]
+
+
+def walk(nodes):
+    """Every span node of a forest, at every depth."""
+    for node in nodes:
+        yield node
+        yield from walk(node.get("children", ()))
 
 
 class TestManifestAssembly:
@@ -27,7 +46,7 @@ class TestManifestAssembly:
         metrics.inc("scenario.probes", 70)
         manifest = RunManifest.build(
             config={"seed": 3, "scale": 0.05, "city_range_km": 40.0},
-            spans=tracer.roots,
+            spans=_spans(tracer),
             metrics=metrics,
             digests={"summary_sha256": sha256_digest("report")},
         )
@@ -38,7 +57,7 @@ class TestManifestAssembly:
         assert len(manifest.digests["summary_sha256"]) == 64
 
     def test_build_without_metrics(self):
-        manifest = RunManifest.build(config={}, spans=_traced_run().roots)
+        manifest = RunManifest.build(config={}, spans=_spans(_traced_run()))
         assert manifest.counters == {}
         assert manifest.counter_families == ()
 
@@ -46,11 +65,17 @@ class TestManifestAssembly:
 class TestManifestRoundTrip:
     def test_json_reproduces_the_span_tree(self):
         tracer = _traced_run()
-        manifest = RunManifest.build(config={"seed": 1}, spans=tracer.roots)
+        manifest = RunManifest.build(config={"seed": 1}, spans=_spans(tracer))
         payload = json.loads(manifest.to_json())
-        assert payload["spans"] == [tracer.roots[0].to_dict()]
-        names = [child["name"] for child in payload["spans"][0]["children"]]
+        assert payload["version"] == MANIFEST_VERSION == 2
+        assert payload["spans"] == _spans(tracer)
+        (run,) = payload["spans"]
+        assert run["attrs"] == {"databases": 2}
+        names = [child["name"] for child in run["children"]]
         assert names == ["coverage", "accuracy"]
+        assert run["children"][0]["attrs"] == {"items": 10}
+        for node in walk(payload["spans"]):
+            assert {"name", "start_ms", "duration_ms"} <= set(node) <= SPAN_NODE_KEYS
 
     def test_from_json_round_trips_exactly(self):
         metrics = MetricsRegistry()
@@ -58,7 +83,7 @@ class TestManifestRoundTrip:
         metrics.observe("geodb.prefix_length", 24, database="A")
         manifest = RunManifest.build(
             config={"seed": 1, "scale": 0.1},
-            spans=_traced_run().roots,
+            spans=_spans(_traced_run()),
             metrics=metrics,
             digests={"summary_sha256": "ab" * 32},
         )
@@ -74,7 +99,7 @@ class TestPipelineManifest:
     def test_instrumented_run_attaches_manifest(self, small_scenario):
         from repro.core.pipeline import RouterGeolocationStudy
 
-        tracer = Tracer()
+        tracer = RequestTrace("run")
         metrics = MetricsRegistry()
         try:
             result = RouterGeolocationStudy.from_scenario(
@@ -98,6 +123,10 @@ class TestPipelineManifest:
         assert {"geodb", "whois"} <= set(manifest.counter_families)
         assert manifest.config["seed"] == small_scenario.config.seed
         assert manifest.config["city_range_km"] == 40.0
+        # The study stays well inside the trace's row cap: no stage span
+        # is ever dropped from the manifest.
+        assert tracer.dropped_spans == 0
+        assert manifest.spans == tuple(_spans(tracer))
         # The digests certify the rendered reports.
         assert manifest.digests["summary_sha256"] == sha256_digest(
             result.render_summary()

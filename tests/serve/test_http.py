@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, RequestTrace, RunManifest
 from repro.serve import GeoServer, ServingEngine
 from repro.serve.engine import ResiliencePolicy
 from repro.serve.http import MAX_BATCH_SIZE
@@ -202,6 +202,37 @@ class TestTelemetry:
             if t["spans"] and t["spans"][0]["name"] in ("resolve", "batch")
         ]
         assert resolved
+
+    def test_tracez_span_nodes_have_the_run_manifest_shape(self, server):
+        def walk(nodes):
+            for node in nodes:
+                yield node
+                yield from walk(node.get("children", ()))
+
+        status, _ = get(server, "/lookup?ip=41.0.0.2")
+        assert status == 200
+        _, body = get(server, "/tracez")
+        served = [
+            node
+            for trace in body["slowest"]
+            if trace["spans"] and trace["spans"][0]["name"] == "resolve"
+            for node in walk(trace["spans"])
+        ]
+        study = RequestTrace("run")
+        with study.span("run", databases=4):
+            with study.span("coverage") as span:
+                span.set(items=687)
+        manifest = RunManifest.build(config={}, spans=study.to_dict()["spans"])
+        recorded = list(walk(json.loads(manifest.to_json())["spans"]))
+        # A resolve row with its vendor probes and a study stage with its
+        # children: parents and leaves, each with attributes.
+        assert served and recorded
+        assert {frozenset(node) for node in served} == {
+            frozenset(node) for node in recorded
+        } == {
+            frozenset({"name", "start_ms", "duration_ms", "attrs", "children"}),
+            frozenset({"name", "start_ms", "duration_ms", "attrs"}),
+        }
 
     def test_plane_server_attributes_requests_to_the_plane(
         self, compiled_indexes, answer_plane

@@ -209,6 +209,12 @@ class TestCliObservability:
         assert manifest["config"]["seed"] == 3
         span_names = {span["name"] for span in manifest["spans"]}
         assert span_names == {"build_scenario", "run"}
+        assert manifest["version"] == 2
+        (run,) = [span for span in manifest["spans"] if span["name"] == "run"]
+        assert {child["name"] for child in run["children"]} >= {
+            "frame_build", "coverage", "recommendations",
+        }
+        assert set(run) == {"name", "start_ms", "duration_ms", "attrs", "children"}
 
     def test_trace_prints_span_tree_with_shares(self, capsys):
         assert main(ARGS + ["trace"]) == 0
