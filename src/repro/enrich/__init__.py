@@ -2,8 +2,8 @@
 
 ``repro.enrich`` turns the one-shot lookup story into a streaming one —
 a seeded synthetic event source (:mod:`repro.enrich.events`), a
-naturally batching single-stage pipeline with explicit overload
-policies (:mod:`repro.enrich.pipeline`), and a live drift
+pipeline that enriches each submitted event inline on the caller, in
+admission order (:mod:`repro.enrich.pipeline`), and a live drift
 detector holding every vendor against the §5.1 consensus
 (:mod:`repro.enrich.drift`).
 """
@@ -11,8 +11,6 @@ detector holding every vendor against the §5.1 consensus
 from repro.enrich.drift import ALERT_KINDS, DriftAlert, DriftDetector
 from repro.enrich.events import EVENT_KINDS, Event, EventConfig, EventSource
 from repro.enrich.pipeline import (
-    OVERLOAD_POLICIES,
-    BoundedQueue,
     EnrichConfig,
     EnrichedEvent,
     EnrichmentPipeline,
@@ -22,8 +20,6 @@ from repro.enrich.pipeline import (
 __all__ = [
     "ALERT_KINDS",
     "EVENT_KINDS",
-    "OVERLOAD_POLICIES",
-    "BoundedQueue",
     "DriftAlert",
     "DriftDetector",
     "EnrichConfig",

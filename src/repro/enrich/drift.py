@@ -24,7 +24,7 @@ Two truthfulness rules keep the alert stream honest:
 
 Alert *sequences* are a pure function of the outcome/consensus stream —
 the detector holds no clock-dependent state on that path — which is what
-lets the determinism suite assert identical alerts across worker counts.
+lets the determinism suite assert identical alerts across serving paths.
 Rolling per-vendor alert rates (for ``stats()``/operators) are tracked in
 :class:`~repro.obs.window.RollingWindow` side state that never feeds back
 into the alerts themselves.
@@ -80,7 +80,7 @@ class DriftDetector:
     counting but statelessly judging.
 
     :meth:`inspect` is called once per enriched event, in input order
-    (the pipeline's stage owns that ordering).  Counters and rolling
+    (the pipeline's one submitting thread owns that ordering).  Counters and rolling
     windows lock internally so ``stats()`` can be scraped concurrently.
     """
 

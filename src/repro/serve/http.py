@@ -531,6 +531,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = status
         server = self.server
         server.edge.response(endpoint, status)  # type: ignore[attr-defined]
+        started = self._started
+        if started is not None:
+            # A routed request's latency: handler work up to the write.
+            server.edge.latency(  # type: ignore[attr-defined]
+                endpoint, (time.perf_counter() - started) * 1000.0
+            )
+            self._started = None
         if trace is not None:
             trace.finish(status=status)
             # Path attribution is counted once per request, here at the
@@ -564,7 +571,7 @@ class _Handler(BaseHTTPRequestHandler):
                 ),
             )
         self._trace = trace
-        started = time.perf_counter()
+        self._started = started = time.perf_counter()
         try:
             handler(endpoint)
         except NoHealthyVendors as exc:
@@ -575,7 +582,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": f"internal error: {exc}"}, endpoint)
         finally:
             elapsed_ms = (time.perf_counter() - started) * 1000.0
-            server.edge.latency(endpoint, elapsed_ms)
+            if self._started is not None:
+                # No response went out: _send_body never observed it.
+                server.edge.latency(endpoint, elapsed_ms)
             if trace is not None:
                 if self._trace is trace:
                     # No response ever went out (the socket died before
@@ -599,6 +608,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self, method: str) -> None:
         self._trace = None
         self._status = None
+        self._started = None
         url = urlsplit(self.path)
         path = url.path
         if path not in _ROUTES[method]:

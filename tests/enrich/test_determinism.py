@@ -1,35 +1,39 @@
-"""Worker and batch-boundary independence: neither is observable.
+"""Serving path and telemetry are not observable in enriched output.
 
 Mirrors ``tests/geodb/test_stream_equivalence.py``'s streamed-vs-
 materialized style: the same seed and event stream must produce
 byte-identical enriched output and the identical ``DriftAlert``
-sequence whether the pipeline runs no stage worker (``block`` enriches
-each event inline on the submitting thread) or one (the ``shed`` stage
-thread, in batches of at most 1, 7 or 64 — each batch is whatever has
-queued, so its boundaries move with timing).  The default 2048-event
-queue holds all 400 events, so ``shed`` sheds none of them.  Timing may
-move latency numbers, never payloads.
+sequence whether the engine serves from the compiled answer plane or
+resolves live, and whether or not a metrics registry is attached.  The
+plane runs answer from compiled cells and reuse the drift detector's
+per-cell memo; the live runs vote on every lookup and judge drift
+afresh for every event.  Metrics attach to the engine, the pipeline and
+its drift detector, so counting must not change a payload either.
 """
 
 import json
 
 import pytest
 
-from repro.enrich import EnrichConfig, EnrichmentPipeline, EventConfig, EventSource
+from repro.enrich import EnrichmentPipeline, EventConfig, EventSource
+from repro.obs import MetricsRegistry
 from repro.serve import ServingEngine
 
 EVENTS = 400
-#: ``(overload, batch_size)`` per run; the first is the reference.
-CONFIGS = (("block", 64), ("shed", 1), ("shed", 7), ("shed", 64))
+#: ``(plane, metrics)`` per run; the first is the reference.
+CONFIGS = ((True, False), (True, True), (False, False), (False, True))
 
 
 def enrich_bytes(
-    enrich_indexes, enrich_plane, whois, event_pool, overload: str, batch_size: int
+    enrich_indexes, enrich_plane, whois, event_pool, plane: bool, metrics: bool
 ):
     """One full run → (serialized output lines, serialized alert lines)."""
-    # A fresh engine per run: the batching must be the only variable the
-    # sweep changes (cache warmth and health state start identical).
-    engine = ServingEngine(enrich_indexes, plane=enrich_plane)
+    # A fresh engine per run, so cache warmth, health state and the drift
+    # memo start identical.
+    registry = MetricsRegistry() if metrics else None
+    engine = ServingEngine(
+        enrich_indexes, plane=enrich_plane if plane else None, metrics=registry
+    )
     source = EventSource(
         event_pool, EventConfig(seed=59, zipf_s=1.2, miss_fraction=0.05)
     )
@@ -42,18 +46,15 @@ def enrich_bytes(
             json.dumps(alert.to_dict(), sort_keys=True) for alert in enriched.alerts
         )
 
-    pipeline = EnrichmentPipeline(
-        engine,
-        whois=whois,
-        config=EnrichConfig(batch_size=batch_size, overload=overload),
-        sink=sink,
-    )
+    pipeline = EnrichmentPipeline(engine, whois=whois, metrics=registry, sink=sink)
     pipeline.start()
     for event in source.take(EVENTS):
         pipeline.submit(event)
     pipeline.drain()
-    assert pipeline.enriched == EVENTS and pipeline.shed == 0
-    assert pipeline.batches >= -(-EVENTS // batch_size)
+    assert pipeline.enriched == EVENTS and pipeline.errors == 0
+    if metrics:
+        assert registry.counter_total("enrich.enriched") == EVENTS
+        assert registry.counter_total("serve.lookups") == EVENTS
     return lines, alerts
 
 
@@ -77,6 +78,7 @@ def test_output_is_byte_identical_across_worker_counts(sweep):
 
 def test_alert_sequence_is_identical_across_worker_counts(sweep):
     reference_alerts = sweep[CONFIGS[0]][1]
+    assert reference_alerts  # the sweep compares real alerts, not none
     for config in CONFIGS[1:]:
         assert sweep[config][1] == reference_alerts, (
             f"{config} changed the alert sequence"
@@ -86,5 +88,5 @@ def test_alert_sequence_is_identical_across_worker_counts(sweep):
 def test_rerun_with_same_seed_is_byte_identical(
     enrich_indexes, enrich_plane, whois, event_pool, sweep
 ):
-    again = enrich_bytes(enrich_indexes, enrich_plane, whois, event_pool, "shed", 7)
-    assert again == sweep[("shed", 7)]
+    again = enrich_bytes(enrich_indexes, enrich_plane, whois, event_pool, False, True)
+    assert again == sweep[(False, True)]

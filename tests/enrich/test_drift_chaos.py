@@ -56,7 +56,7 @@ def test_quarantine_cycle_suppresses_then_resumes_alerts(
     )
     detector = DriftDetector(city_range_km=engine.city_range_km)
     source = EventSource(event_pool, EventConfig(seed=41))
-    config = EnrichConfig(batch_size=8, whois_workers=2)
+    config = EnrichConfig(whois_workers=2)
 
     # Phase 1 — vendor failing, then quarantined: every outcome is
     # degraded, so every inspection suppresses and none alerts.
@@ -143,7 +143,7 @@ def test_store_hot_swap_never_tears_an_enriched_event(
 
     pipeline = EnrichmentPipeline(
         engine,
-        config=EnrichConfig(batch_size=8, whois_workers=2),
+        config=EnrichConfig(whois_workers=2),
         sink=check,
     )
     pipeline.start()
@@ -175,7 +175,7 @@ def test_store_hot_swap_never_tears_an_enriched_event(
     assert not thread.is_alive()
 
     assert torn == [], f"mixed-generation enrichment: {torn[:3]}"
-    assert pipeline.enriched == 600 and pipeline.shed == 0
+    assert pipeline.enriched == 600 == pipeline.submitted
     assert pipeline.errors == 0
 
     # The drift memo lives in the served generation's memo: once the

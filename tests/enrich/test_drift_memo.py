@@ -4,8 +4,7 @@
 the cell's answers raise against its consensus; each event then only
 fills in ``seq`` and ``address``.  These tests pin that the memo is
 invisible: the enriched stream of a fixed seed hashes to the digest the
-unmemoised pipeline produced (on the inline ``block`` path and on the
-``shed`` stage thread alike), every cell of a plane gets exactly the
+unmemoised pipeline produced, every cell of a plane gets exactly the
 alerts ``_judge`` gives it, and outcomes without a cell (live, degraded)
 never touch the memo.
 """
@@ -28,9 +27,7 @@ from repro.serve import ServingEngine
 PINNED_STREAM = "25616f6dffa5f938ecf9ae9b939e3b6de5d1c394510503f55ebf10d151696183"
 
 
-def enriched_stream(
-    engine, whois, event_pool, overload: str = "block"
-) -> tuple[str, int]:
+def enriched_stream(engine, whois, event_pool) -> tuple[str, int]:
     lines: list[bytes] = []
     alerts: list[bytes] = []
 
@@ -44,7 +41,7 @@ def enriched_stream(
     pipeline = EnrichmentPipeline(
         engine,
         whois=whois,
-        config=EnrichConfig(batch_size=16, whois_workers=2, overload=overload),
+        config=EnrichConfig(whois_workers=2),
         sink=sink,
     )
     pipeline.start()
@@ -61,13 +58,6 @@ def enriched_stream(
 def test_enriched_stream_is_pinned(engine, whois, event_pool):
     digest, alerts = enriched_stream(engine, whois, event_pool)
     assert alerts > 0  # the pin covers real alerts, not an empty stream
-    assert digest == PINNED_STREAM
-
-
-def test_the_shed_stage_yields_the_pinned_stream(engine, whois, event_pool):
-    # The default 2048-event queue holds the whole 1500-event stream, so
-    # nothing sheds and the stage thread batches what queues.
-    digest, _alerts = enriched_stream(engine, whois, event_pool, overload="shed")
     assert digest == PINNED_STREAM
 
 

@@ -157,6 +157,25 @@ class TestTelemetry:
         assert "repro_serve_latency_ms_p50" in text
         assert "repro_serve_latency_ms_p99" in text
 
+    def test_latency_is_recorded_before_the_response_is_sent(self, compiled_indexes):
+        # A fresh server, so its one /lookup is the only latency sample.
+        server = GeoServer(
+            ServingEngine(compiled_indexes), port=0, metrics=MetricsRegistry()
+        )
+        server.start_background()
+        try:
+            get(server, "/lookup?ip=41.0.0.2")
+            # No sleep or retry: the sample must exist once the client
+            # holds the response.
+            counts = {
+                dict(labels)["endpoint"]: series["count"]
+                for name, labels, series in server.metrics.histogram_series()
+                if name == "serve.latency_ms"
+            }
+        finally:
+            server.stop()
+        assert counts == {"lookup": 1}
+
     def test_lookup_mints_and_echoes_a_trace_id(self, server):
         request = urllib.request.Request(server.url + "/lookup?ip=41.0.0.2")
         with urllib.request.urlopen(request, timeout=10) as response:

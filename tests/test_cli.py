@@ -348,7 +348,6 @@ class TestSnapshotCommand:
                     "--rate", "400",
                     "--duration", "1",
                     "--json",
-                    "--max-shed", "0",
                 ]
             )
             == 0
@@ -356,13 +355,10 @@ class TestSnapshotCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["offered"] == 400
         assert report["enriched"] == 400
-        assert report["shed"] == 0 and report["errors"] == 0
-        assert report["policy"] == "block"
+        assert report["errors"] == 0
         assert report["latency_ms"]["p99"] > 0.0
         assert report["drift"]["inspected"] == 400
         assert report["drift"]["suppressed"] == 0
-        for queue_stats in report["queues"].values():
-            assert queue_stats["high_water"] <= queue_stats["capacity"]
 
     def test_enrich_event_count_and_render(self, capsys):
         assert (
@@ -392,3 +388,12 @@ class TestSnapshotCommand:
             main(ARGS + ["enrich", "--events", "10", "--linger-ms", "5"])
         assert excinfo.value.code == 2
         assert "--linger-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--policy", "--batch-size", "--queue", "--max-shed"]
+    )
+    def test_enrich_has_no_queue_or_shed_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(ARGS + ["enrich", "--events", "10", flag, "1"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
