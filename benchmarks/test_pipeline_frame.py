@@ -5,8 +5,8 @@ one reason: the study asks every database the same per-address question
 from ten stages, and the frame answers it once.  This benchmark first
 checks the rendered study against a result assembled from the
 brute-force oracle in ``tests/core/study_oracle.py``, then records the
-study's wall time, serial and with frame workers, in
-``BENCH_pipeline.json`` (section ``pipeline_frame``).
+study's wall time in ``BENCH_pipeline.json`` (section
+``pipeline_frame``).
 
 Timings are best-of-N with an explicit warm-up pass: on the 1-core CI
 box a single-shot measurement is dominated by GC scheduling and
@@ -53,19 +53,11 @@ def test_pipeline_frame(scenario, record_perf):
 
     frame_s = best_of(RUNS, study.run)
 
-    # The workers fan-out exists for the paper's 1.64 M-address scale; at
-    # bench scale it falls back to serial (pool below the floor), so this
-    # records the dispatch overhead staying negligible, not a second win.
-    workers_study = RouterGeolocationStudy.from_scenario(scenario, frame_workers=2)
-    workers_study.run()
-    frame_workers_s = best_of(RUNS, workers_study.run)
-
     record_perf(
         "pipeline_frame",
         {
             "pool_addresses": len(study.lookup_frame()),
             "databases": len(scenario.databases),
             "frame_s": round(frame_s, 4),
-            "frame_workers_s": round(frame_workers_s, 4),
         },
     )

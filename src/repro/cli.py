@@ -101,11 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics", metavar="PATH",
         help="write the JSON run manifest (span tree + counters + config)",
     )
-    run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="processes for lookup-frame construction (default: serial;"
-             " pays off from ~100K addresses)",
-    )
 
     commands.add_parser(
         "trace",
@@ -611,7 +606,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.core.pipeline import RouterGeolocationStudy
 
         study = RouterGeolocationStudy.from_scenario(
-            scenario, tracer=tracer, metrics=metrics, frame_workers=args.workers
+            scenario, tracer=tracer, metrics=metrics
         )
         result = study.run()
         report = result.render_markdown() if args.markdown else result.render_summary()

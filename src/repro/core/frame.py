@@ -10,9 +10,7 @@ the wall time of the study.
 deduplicated address pool against every database **exactly once**,
 through the compiled interval form
 (:func:`~repro.geodb.intervals.sweep_entry_intervals` — one C-level
-bisect per address instead of a 33-table hash walk; prebuilt
-:class:`~repro.serve.index.CompiledIndex` objects are consumed as-is),
-and stores the answers as parallel columns keyed by address *position*:
+bisect per address instead of a 33-table hash walk), and stores the answers as parallel columns keyed by address *position*:
 
 * ``flags`` — one byte per address: coverage bitmask (covered /
   has-country / has-city / has-coordinates / block-level entry);
@@ -32,8 +30,7 @@ per-database stages take a column name plus ``frame=``, or a single
 :class:`~repro.geodb.database.GeoDatabase`, and go through
 :func:`column_frame`.  Either way the columnar body runs.
 
-Construction optionally fans out across ``workers`` processes (chunked
-over the address pool, ``fork`` start method) and reports ``frame.*``
+Construction is one serial pass per database and reports ``frame.*``
 metrics plus a ``frame_build`` tracing span when instrumented.
 """
 
@@ -42,10 +39,12 @@ from __future__ import annotations
 import time
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.geo.coordinates import GeoPoint
+from repro.geodb.database import GeoDatabase
 from repro.geodb.intervals import sweep_entry_intervals
 from repro.geodb.record import GeoRecord
 from repro.net.ip import IPv4Address, parse_address
@@ -75,13 +74,6 @@ BLOCK_LEVEL = 16  #: the matched entry covers a whole /24 or more (§5.2.3)
 CITY_LEVEL = HAS_CITY | HAS_COORDS
 
 _NAN = float("nan")
-
-#: Below this pool size the fork/pickle overhead of process fan-out
-#: cannot pay for itself; construction stays serial.
-_MIN_PARALLEL_ADDRESSES = 50_000
-
-#: Sent to workers via fork-inherited module state (see ``_fork_state``).
-_fork_state: dict[str, object] = {}
 
 
 class StringTable:
@@ -205,29 +197,13 @@ def _prepare_database(database) -> tuple[list[int], list[int], list, tuple]:
     ``interval_slots`` maps a ``bisect_right(starts, addr)`` result to an
     entry slot (0 = miss); ``rows`` holds ``(prefixlen, record,
     record_id)`` per entry id, in address order of first appearance —
-    the same numbering :meth:`CompiledIndex.compile` produces, so a frame
-    built from raw databases matches one built from compiled indexes
-    byte for byte.
+    the same numbering :meth:`CompiledIndex.compile` produces.
 
-    A prebuilt :class:`~repro.serve.index.CompiledIndex` (anything with
-    ``parts()``, duck-typed so this module never imports the serving
-    layer) is consumed as-is; a
-    :class:`~repro.geodb.database.GeoDatabase` goes through
+    The :class:`~repro.geodb.database.GeoDatabase` goes through
     :func:`~repro.geodb.intervals.sweep_entry_intervals` directly — no
     interval probing, no prefix-string rendering, no serving-side probe
     closures.
     """
-    parts = getattr(database, "parts", None)
-    if parts is not None:
-        starts, answers, entries, records = parts()
-        records = tuple(records)
-        interval_slots = [0, *(answer + 1 for answer in answers)]
-        rows = [
-            (int(prefix.rsplit("/", 1)[1]), records[record_id], record_id)
-            for prefix, record_id in entries
-        ]
-        return starts, interval_slots, rows, records
-
     starts, interval_entries = sweep_entry_intervals(database)
     slot_ids: dict[int, int] = {}  # id(entry) → slot
     record_ids: dict = {}
@@ -251,15 +227,16 @@ def _prepare_database(database) -> tuple[list[int], list[int], list, tuple]:
     return starts, interval_slots, rows, tuple(records_list)
 
 
-def _resolve_slots(starts, interval_slots, ints: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Entry slots (entry id + 1; 0 = miss) for ``ints[lo:hi]``: one
-    C-level bisect per address."""
+def _resolve_slots(starts, interval_slots, ints: Sequence[int]) -> list[int]:
+    """Entry slots (entry id + 1; 0 = miss) for ``ints``: one C-level
+    bisect per address."""
     _bisect = bisect_right
-    return [interval_slots[_bisect(starts, ints[i])] for i in range(lo, hi)]
+    return [interval_slots[_bisect(starts, value)] for value in ints]
 
 
 def _derive_columns(tables, slots: list[int]):
-    """Map resolved entry slots through the per-entry tables → column chunks."""
+    """Map resolved entry slots through the per-entry tables → the
+    ``(flags, country_ids, city_ids, lats, lons, record_ids)`` columns."""
     t_flags, t_country, t_city, t_lat, t_lon, t_record = tables
     return (
         bytes(map(t_flags.__getitem__, slots)),
@@ -269,22 +246,6 @@ def _derive_columns(tables, slots: list[int]):
         array("d", map(t_lon.__getitem__, slots)),
         array("i", map(t_record.__getitem__, slots)),
     )
-
-
-def _resolve_chunk(task):
-    """Worker-side resolution of one (database, address-range) chunk.
-
-    State (the shared address integers and per-database probe tables)
-    rides in :data:`_fork_state`, inherited copy-on-write through the
-    ``fork`` start method — nothing large is pickled per task.
-    """
-    name, lo, hi = task
-    starts, interval_slots, tables = _fork_state["databases"][name]
-    slots = _resolve_slots(starts, interval_slots, _fork_state["ints"], lo, hi)
-    counts: dict[int, int] = {}
-    for slot in slots:
-        counts[slot] = counts.get(slot, 0) + 1
-    return name, lo, _derive_columns(tables, slots), counts
 
 
 class LookupFrame:
@@ -339,10 +300,9 @@ class LookupFrame:
     @classmethod
     def build(
         cls,
-        databases: Mapping[str, object],
+        databases: Mapping[str, GeoDatabase],
         addresses: Iterable[IPv4Address | str | int],
         *,
-        workers: int | None = None,
         tracer=None,
         metrics=None,
     ) -> "LookupFrame":
@@ -350,14 +310,11 @@ class LookupFrame:
         against every database, exactly once each.
 
         ``databases`` maps names to :class:`~repro.geodb.database.GeoDatabase`
-        snapshots (compiled here) or prebuilt
-        :class:`~repro.serve.index.CompiledIndex` objects (used as-is).
-        ``workers`` > 1 fans the resolution out across processes (``fork``
-        platforms only; falls back to serial elsewhere) — worthwhile from
-        roughly 10^5 addresses up.  ``tracer`` wraps construction in a
-        ``frame_build`` span; ``metrics`` receives ``frame.*`` counters
-        plus the same ``geodb.*`` counter family a direct lookup pass
-        would have emitted, so instrumented runs keep their telemetry.
+        snapshots, each swept into interval form here and resolved in one
+        serial pass.  ``tracer`` wraps construction in a ``frame_build``
+        span; ``metrics`` receives ``frame.*`` counters plus the same
+        ``geodb.*`` counter family a direct lookup pass would have
+        emitted, so instrumented runs keep their telemetry.
         When ``metrics`` is ``None``, each database's own attached
         registry (``attach_metrics``) is used instead, if any.
         """
@@ -378,71 +335,27 @@ class LookupFrame:
 
             countries = StringTable()
             cities = StringTable()
-            prepared: dict[str, tuple] = {}
-            record_tables: dict[str, tuple[GeoRecord, ...]] = {}
-            resolutions: dict[str, list[str]] = {}
-            prefix_lengths: dict[str, list[int]] = {}
-            per_database_metrics: dict[str, object] = {}
+            columns: dict[str, FrameColumn] = {}
             for name, database in databases.items():
                 starts, interval_slots, rows, records = _prepare_database(database)
-                prepared[name] = (
-                    starts,
-                    interval_slots,
-                    _entry_tables(rows, countries, cities),
-                )
-                record_tables[name] = records
+                tables = _entry_tables(rows, countries, cities)
+                slots = _resolve_slots(starts, interval_slots, ints)
+                columns[name] = FrameColumn(name, *_derive_columns(tables, slots), records)
                 registry = (
                     metrics if metrics is not None else getattr(database, "_metrics", None)
                 )
-                per_database_metrics[name] = registry
                 if registry is not None:
                     # The per-slot mirror tables exist only to replay the
                     # geodb.* counters; skip them on uninstrumented runs.
-                    resolutions[name] = ["none"] + [
-                        record.resolution.value for _, record, _ in rows
-                    ]
-                    prefix_lengths[name] = [0] + [prefixlen for prefixlen, _, _ in rows]
-
-            chunks = cls._resolve_all(prepared, ints, workers)
-
-            columns: dict[str, FrameColumn] = {}
-            for name in databases:
-                parts, counts = chunks[name]
-                flags = b"".join(chunk[0] for chunk in parts)
-                country_ids = array("i")
-                city_ids = array("i")
-                lats = array("d")
-                lons = array("d")
-                record_ids = array("i")
-                for chunk in parts:
-                    country_ids.extend(chunk[1])
-                    city_ids.extend(chunk[2])
-                    lats.extend(chunk[3])
-                    lons.extend(chunk[4])
-                    record_ids.extend(chunk[5])
-                columns[name] = FrameColumn(
-                    database=name,
-                    flags=flags,
-                    country_ids=country_ids,
-                    city_ids=city_ids,
-                    lats=lats,
-                    lons=lons,
-                    record_ids=record_ids,
-                    records=record_tables[name],
-                )
-                registry = per_database_metrics[name]
-                if registry is not None:
                     _mirror_lookup_metrics(
                         registry,
                         name,
-                        counts,
-                        resolutions[name],
-                        prefix_lengths[name],
+                        Counter(slots),
+                        ["none"] + [record.resolution.value for _, record, _ in rows],
+                        [0] + [prefixlen for prefixlen, _, _ in rows],
                     )
 
-            span.set(
-                items=len(pool), databases=len(columns), workers=workers or 1
-            )
+            span.set(items=len(pool), databases=len(columns))
 
         if metrics is not None:
             metrics.inc("frame.builds")
@@ -450,56 +363,6 @@ class LookupFrame:
             metrics.inc("frame.columns", len(columns))
             metrics.observe("frame.build_seconds", time.perf_counter() - started)
         return cls(pool, positions, columns, countries, cities, metrics=metrics)
-
-    @staticmethod
-    def _resolve_all(prepared, ints, workers):
-        """Resolve the pool per database, serially or via a fork pool.
-
-        Returns ``{name: (ordered column chunks, slot counts)}``; the
-        chunk order is deterministic, so parallel construction yields
-        byte-identical columns to the serial path.
-        """
-        names = list(prepared)
-        effective = int(workers or 1)
-        if effective > 1 and len(ints) >= _MIN_PARALLEL_ADDRESSES:
-            try:
-                import multiprocessing
-
-                context = multiprocessing.get_context("fork")
-            except (ImportError, ValueError):
-                context = None
-            if context is not None:
-                chunk_size = max(10_000, -(-len(ints) // (effective * 4)))
-                tasks = [
-                    (name, lo, min(lo + chunk_size, len(ints)))
-                    for name in names
-                    for lo in range(0, len(ints), chunk_size)
-                ]
-                _fork_state["ints"] = ints
-                _fork_state["databases"] = prepared
-                try:
-                    with context.Pool(processes=effective) as pool:
-                        results = pool.map(_resolve_chunk, tasks)
-                except OSError:
-                    results = None  # sandboxed / fork-restricted: fall back
-                finally:
-                    _fork_state.clear()
-                if results is not None:
-                    chunks = {name: ([], {}) for name in names}
-                    for name, _lo, parts, counts in results:  # tasks are in order
-                        chunks[name][0].append(parts)
-                        totals = chunks[name][1]
-                        for slot, count in counts.items():
-                            totals[slot] = totals.get(slot, 0) + count
-                    return chunks
-        chunks = {}
-        for name, (starts, interval_slots, tables) in prepared.items():
-            slots = _resolve_slots(starts, interval_slots, ints, 0, len(ints))
-            counts: dict[int, int] = {}
-            for slot in slots:
-                counts[slot] = counts.get(slot, 0) + 1
-            chunks[name] = ([_derive_columns(tables, slots)], counts)
-        return chunks
 
     # -- access --------------------------------------------------------------
 
@@ -618,7 +481,6 @@ def as_frame(
     source,
     addresses: Iterable[IPv4Address | str | int],
     *,
-    workers: int | None = None,
     tracer=None,
     metrics=None,
 ) -> LookupFrame:
@@ -630,7 +492,7 @@ def as_frame(
     """
     if isinstance(source, LookupFrame):
         return source
-    return LookupFrame.build(source, addresses, workers=workers, tracer=tracer, metrics=metrics)
+    return LookupFrame.build(source, addresses, tracer=tracer, metrics=metrics)
 
 
 def column_frame(

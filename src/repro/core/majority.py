@@ -23,6 +23,7 @@ database mapping) like every other table-level stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from repro.core.frame import CITY_LEVEL, HAS_COUNTRY, LookupFrame, as_frame
@@ -154,6 +155,24 @@ def majority_of_records(
     of re-looking addresses up or reimplementing the vote.
     """
     return _tally(address, records, city_range_km)
+
+
+def disagreement_of_records(
+    records, *, city_range_km: float = DEFAULT_CITY_RANGE_KM
+) -> tuple[bool, bool]:
+    """``(country_disagreement, city_disagreement)`` over answer records.
+
+    The paper's §5.1 consistency notion: two answering databases name
+    different ISO codes, or two city-level answers lie more than
+    ``city_range_km`` apart.  The serving engine's live consensus and the
+    answer plane's compile-time cells both derive their flags here.
+    """
+    countries = {r.country for r in records if r.country is not None}
+    coordinates = [r.location for r in records if r.has_city and r.has_coordinates]
+    city_disagreement = any(
+        a.distance_km(b) > city_range_km for a, b in combinations(coordinates, 2)
+    )
+    return len(countries) > 1, city_disagreement
 
 
 def majority_vote_reference(

@@ -317,7 +317,6 @@ class RouterGeolocationStudy:
         tracer: RequestTrace | None = None,
         metrics: MetricsRegistry | None = None,
         scenario_config=None,
-        frame_workers: int | None = None,
     ):
         if not databases:
             raise ValueError("at least one database is required")
@@ -345,8 +344,6 @@ class RouterGeolocationStudy:
         self.scenario_config = scenario_config
         #: The study pool's lookup frame, built on the first run.
         self._frame: LookupFrame | None = None
-        #: Process fan-out for frame construction (None/1 = serial).
-        self.frame_workers = frame_workers
         if metrics is not None:
             for database in self.databases.values():
                 database.attach_metrics(metrics)
@@ -359,7 +356,6 @@ class RouterGeolocationStudy:
         *,
         tracer: RequestTrace | None = None,
         metrics: MetricsRegistry | None = None,
-        frame_workers: int | None = None,
     ) -> "RouterGeolocationStudy":
         """Build from a :class:`repro.scenario.build.Scenario`."""
         return cls(
@@ -372,7 +368,6 @@ class RouterGeolocationStudy:
             tracer=tracer,
             metrics=metrics,
             scenario_config=scenario.config,
-            frame_workers=frame_workers,
         )
 
     def _manifest_config(self) -> dict:
@@ -403,13 +398,12 @@ class RouterGeolocationStudy:
 
         This is the one place the study pool is resolved: every address
         any stage reads, i.e. the Ark interface population plus the
-        merged ground-truth addresses (``frame_workers`` processes).
+        merged ground-truth addresses.
         """
         if self._frame is None:
             self._frame = LookupFrame.build(
                 self.databases,
                 [*self.ark_addresses, *self.ground_truth.addresses()],
-                workers=self.frame_workers,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )

@@ -101,23 +101,11 @@ class FaultyIndex:
                     f"injected fault in {self._base.name}: {spec.describe()}"
                 )
 
-    # -- the probe surface ServingEngine and LookupFrame use -----------------
-
-    def probe(self, addr: int):
-        self._gate()
-        return self._base.probe(addr)
+    # -- the probe surface ServingEngine and the store's canary use ----------
 
     def probe_answer(self, addr: int):
         self._gate()
         return self._base.probe_answer(addr)
-
-    def lookup(self, address):
-        self._gate()
-        return self._base.lookup(address)
-
-    def lookup_answer(self, address):
-        self._gate()
-        return self._base.lookup_answer(address)
 
     def __len__(self) -> int:
         return len(self._base)

@@ -65,10 +65,13 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.majority import DEFAULT_CITY_RANGE_KM, majority_of_records
+from repro.core.majority import (
+    DEFAULT_CITY_RANGE_KM,
+    disagreement_of_records,
+    majority_of_records,
+)
 from repro.geo.coordinates import GeoPoint
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs.metrics import MetricsRegistry
@@ -976,13 +979,8 @@ class ServingEngine:
         vote = majority_of_records(
             outcome.address, records, city_range_km=self.city_range_km
         )
-        countries = {r.country for r in records if r.country is not None}
-        coordinates = [
-            r.location for r in records if r.has_city and r.has_coordinates
-        ]
-        city_disagreement = any(
-            a.distance_km(b) > self.city_range_km
-            for a, b in combinations(coordinates, 2)
+        country_disagreement, city_disagreement = disagreement_of_records(
+            records, city_range_km=self.city_range_km
         )
         return ConsensusAnswer(
             address=outcome.address,
@@ -991,7 +989,7 @@ class ServingEngine:
             location=vote.location,
             location_votes=vote.location_votes,
             voters=vote.voters,
-            country_disagreement=len(countries) > 1,
+            country_disagreement=country_disagreement,
             city_disagreement=city_disagreement,
             degraded=outcome.degraded,
             quorum=vote.voters >= self._policy.quorum_min,

@@ -60,7 +60,11 @@ from array import array
 from bisect import bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
-from repro.core.majority import DEFAULT_CITY_RANGE_KM, majority_of_records
+from repro.core.majority import (
+    DEFAULT_CITY_RANGE_KM,
+    disagreement_of_records,
+    majority_of_records,
+)
 from repro.geo.coordinates import GeoPoint
 from repro.geodb.intervals import merge_starts
 from repro.net.ip import IPv4Address, parse_address
@@ -484,17 +488,11 @@ def _vote_row(records, start: int, city_range_km: float, quorum_min: int):
     vote = majority_of_records(
         parse_address(start), records, city_range_km=city_range_km
     )
-    countries = {r.country for r in records if r.country is not None}
-    coordinates = [
-        r.location for r in records if r.has_city and r.has_coordinates
-    ]
-    city_disagreement = any(
-        a.distance_km(b) > city_range_km
-        for i, a in enumerate(coordinates)
-        for b in coordinates[i + 1 :]
+    country_disagreement, city_disagreement = disagreement_of_records(
+        records, city_range_km=city_range_km
     )
     flags = (
-        (_COUNTRY_DISAGREEMENT if len(countries) > 1 else 0)
+        (_COUNTRY_DISAGREEMENT if country_disagreement else 0)
         | (_CITY_DISAGREEMENT if city_disagreement else 0)
         | (_QUORUM if vote.voters >= quorum_min else 0)
         | (_HAS_LOCATION if vote.location is not None else 0)

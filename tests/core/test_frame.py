@@ -13,7 +13,6 @@ import math
 
 import pytest
 
-from repro.core import frame as frame_module
 from repro.core.frame import (
     BLOCK_LEVEL,
     CITY_LEVEL,
@@ -123,45 +122,6 @@ class TestColumnEquivalence:
 
 
 class TestConstructionPaths:
-    def test_frame_from_compiled_indexes_is_byte_identical(
-        self, small_scenario, probe_addresses, pool_frame
-    ):
-        from repro.serve import CompiledIndex
-
-        indexes = {
-            name: CompiledIndex.compile(database)
-            for name, database in small_scenario.databases.items()
-        }
-        from_indexes = LookupFrame.build(indexes, probe_addresses)
-        for name in pool_frame.names:
-            ours = pool_frame.column(name)
-            theirs = from_indexes.column(name)
-            assert ours.flags == theirs.flags
-            assert ours.country_ids == theirs.country_ids
-            assert ours.city_ids == theirs.city_ids
-            assert ours.record_ids == theirs.record_ids
-            assert ours.records == theirs.records
-            assert [x for x in ours.lats if not math.isnan(x)] == [
-                x for x in theirs.lats if not math.isnan(x)
-            ]
-
-    def test_worker_fanout_is_byte_identical_to_serial(
-        self, small_scenario, probe_addresses, pool_frame, monkeypatch
-    ):
-        # The fork fan-out only engages above a pool-size floor; lower it
-        # so the parallel code path runs at test scale.
-        monkeypatch.setattr(frame_module, "_MIN_PARALLEL_ADDRESSES", 100)
-        parallel = LookupFrame.build(
-            small_scenario.databases, probe_addresses, workers=2
-        )
-        for name in pool_frame.names:
-            serial_column = pool_frame.column(name)
-            parallel_column = parallel.column(name)
-            assert serial_column.flags == parallel_column.flags
-            assert serial_column.country_ids == parallel_column.country_ids
-            assert serial_column.city_ids == parallel_column.city_ids
-            assert serial_column.record_ids == parallel_column.record_ids
-
     def test_pool_is_deduplicated_first_occurrence_wins(self, small_scenario):
         addresses = ["10.0.0.1", "10.0.0.2", "10.0.0.1", "10.0.0.3"]
         frame = LookupFrame.build(small_scenario.databases, addresses)

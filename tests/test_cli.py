@@ -35,6 +35,12 @@ class TestCli:
         assert out.startswith("# Router geolocation study report")
         assert "| database |" in out
 
+    def test_run_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(ARGS + ["run", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_export_db_geolite(self, capsys):
         assert main(ARGS + ["export-db", "NetAcuity"]) == 0
         out = capsys.readouterr().out
