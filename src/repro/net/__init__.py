@@ -11,6 +11,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "IPv4Address",
             "IPv4Network",
             "PrefixPool",
+            "address_int",
             "block_of",
             "hosts_in",
             "nth_address",

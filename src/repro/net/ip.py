@@ -52,6 +52,20 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
         raise ValueError(f"not an IPv4 address: {text!r}") from exc
 
 
+def address_int(text: str | int | IPv4Address) -> int:
+    """``int(parse_address(text))``, without building the address object
+    for a canonical dotted quad.
+
+    Accepts and refuses exactly what :func:`parse_address` does, with the
+    same error.  Every string it accepts is canonical — ``ipaddress``
+    refuses leading zeros, padding and non-ASCII digits — so a caller
+    may echo an accepted string as the address's text.
+    """
+    if isinstance(text, str) and _DOTTED_QUAD.match(text) is not None:
+        return int.from_bytes(socket.inet_aton(text), "big")
+    return int(parse_address(text))
+
+
 def parse_network(text: str | IPv4Network, *, strict: bool = True) -> IPv4Network:
     """Parse an IPv4 network in CIDR notation."""
     if isinstance(text, IPv4Network):

@@ -898,11 +898,17 @@ class ServingEngine:
         no plane is attached, a fault injector is armed, or some vendor
         is currently degraded; the caller falls back to
         :meth:`lookup_outcome` / :meth:`outcome_batch`.
+
+        An in-range ``int`` (exactly ``int``: a ``bool`` is parsed like
+        any other input) is probed as it is; anything else goes through
+        :func:`~repro.net.ip.parse_address` and raises its ``ValueError``.
         """
         gen = self._gen
         plane = gen.plane_live
         if plane is None or not gen.healthy:
             return None
+        if type(address) is int and 0 <= address <= 0xFFFFFFFF:
+            return plane.probe(address)
         return plane.probe(int(parse_address(address)))
 
     def outcome_batch(

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import json
 import re
-import socket
 import sys
 import threading
 import time
@@ -75,7 +74,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
-from repro.net.ip import parse_address
+from repro.net.ip import IPv4Address, address_int
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.prom import render_prometheus
@@ -289,8 +288,6 @@ _ENCODER = json.JSONEncoder(sort_keys=True)
 _encode = _ENCODER.encode
 #: What ``_encode`` itself calls for a ``str``, minus its dispatch.
 _encode_str = json.encoder.encode_basestring_ascii
-#: ``str(IPv4Address)`` in C: the same dotted quad at a third of the cost.
-_inet_ntoa = socket.inet_ntoa
 _PREFIX_KEY = '"prefix": '
 
 
@@ -315,13 +312,15 @@ _ANSWER_KEYS = "answer-keys"
 
 
 def _answer_keys(engine: ServingEngine, memo: dict) -> list[tuple[str, str]]:
-    """``(vendor, '"vendor": ')`` pairs in JSON key order — not the order
-    of ``vendor_names()``, which lists missing vendors last."""
+    """``(vendor, key)`` pairs in JSON key order — not the order of
+    ``vendor_names()``, which lists missing vendors last.  ``key`` is the
+    vendor's JSON key led by its separator: ``'{"A": '`` for the first
+    (an engine always has one), ``', "B": '`` after that."""
     keys = memo.get(_ANSWER_KEYS)
     if keys is None:
         keys = [
-            (name, _encode_str(name) + ": ")
-            for name in sorted(engine.vendor_names())
+            (name, (", " if i else "{") + _encode_str(name) + ": ")
+            for i, name in enumerate(sorted(engine.vendor_names()))
         ]
         # The vendor set is per generation: keep the keys only if no
         # swap landed since ``memo`` was fetched.
@@ -330,34 +329,23 @@ def _answer_keys(engine: ServingEngine, memo: dict) -> list[tuple[str, str]]:
     return keys
 
 
-def _answers_body(keys: list[tuple[str, str]], source, memo: dict) -> str:
-    """The ``answers`` object of a ``LookupOutcome`` or a plane cell:
-    every vendor, ``null`` where it has none."""
+def _answers_into(
+    out: list[str], keys: list[tuple[str, str]], source, memo: dict
+) -> None:
+    """Append the ``answers`` object of a ``LookupOutcome`` or a plane
+    cell to ``out`` as pieces: every vendor, ``null`` where it has none."""
     answers = source.answers
-    parts = []
     for name, key in keys:
         answer = answers.get(name)
         if answer is None:
-            parts.append(key + "null")
+            out += (key, "null")
         else:
-            pre, post, _ = _record_fragments(answer.record, memo)
-            parts.append(key + pre + _encode_str(answer.prefix) + post)
-    return "{" + ", ".join(parts) + "}"
-
-
-def _batch_item(
-    keys: list[tuple[str, str]], source, memo: dict, address, degraded: str = ""
-) -> str:
-    """One ``/batch`` result: the answers of an outcome or a plane cell,
-    the ``degraded`` fields (empty when healthy), and the address."""
-    return (
-        '{"answers": '
-        + _answers_body(keys, source, memo)
-        + degraded
-        + ', "ip": '
-        + _encode_str(_inet_ntoa(address.packed))
-        + "}"
-    )
+            record = answer.record
+            entry = memo.get(id(record))
+            if entry is None:
+                entry = _record_fragments(record, memo)
+            out += (key, entry[0], _encode_str(answer.prefix), entry[1])
+    out.append("}")
 
 
 def _consensus_body(consensus: ConsensusAnswer, cell, memo: dict) -> str:
@@ -689,9 +677,9 @@ class _Handler(BaseHTTPRequestHandler):
         consensus = engine.consensus_of(outcome)
         degraded = outcome.degraded
         memo = engine.generation_memo()
-        parts = [
-            '{"answers": ',
-            _answers_body(_answer_keys(engine, memo), outcome, memo),
+        parts = ['{"answers": ']
+        _answers_into(parts, _answer_keys(engine, memo), outcome, memo)
+        parts += (
             ', "consensus": ',
             _consensus_body(consensus, outcome.cell, memo),
             ', "degraded": ',
@@ -700,7 +688,7 @@ class _Handler(BaseHTTPRequestHandler):
             _encode(list(outcome.unavailable())) if degraded else "[]",
             ', "ip": ',
             _encode_str(ip),
-        ]
+        )
         if trace is not None:
             parts += (', "trace_id": ', _encode_str(trace.trace_id))
         parts.append("}")
@@ -753,58 +741,81 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
 
-        # One pass parses every entry and answers each healthy address
-        # straight from its plane cell: no LookupOutcome, no span row per
-        # address.  Invalid entries become per-item errors; the rest (no
-        # plane, a vendor degraded, an injector armed — health is read per
-        # address) resolve live in one outcome_batch, spliced by index.
+        # Pass 1 parses every entry once, to an int, and answers each
+        # healthy address straight from its plane cell: no address
+        # object, no LookupOutcome, no span row per address.  Invalid
+        # entries become per-item errors; the rest (no plane, a vendor
+        # degraded, an injector armed — health is read per address)
+        # resolve live in one outcome_batch, spliced back by index.
         engine = self.engine
         trace = self._trace
         memo = engine.generation_memo()
         keys = _answer_keys(engine, memo)
         lookup_plane = engine.lookup_plane
-        results: list[str | None] = [None] * len(ips)
-        live: list[tuple[int, Any]] = []
+        # Per item: the address text and its plane cell or outcome, or
+        # ``None`` and the item's finished error JSON.
+        texts: list[str | None] = []
+        sources: list[Any] = []
+        live_at: list[int] = []
+        live: list[int] = []
         hits = 0
         started = time.perf_counter()
-        for i, ip in enumerate(ips):
+        for ip in ips:
             try:
-                address = parse_address(ip)
+                addr = address_int(ip)
             except ValueError as exc:
-                results[i] = _encode({"ip": str(ip), "error": str(exc)})
+                texts.append(None)
+                sources.append(_encode({"ip": str(ip), "error": str(exc)}))
                 continue
-            cell = lookup_plane(address)
+            # An accepted string is already the canonical dotted quad.
+            texts.append(ip if isinstance(ip, str) else str(IPv4Address(addr)))
+            cell = lookup_plane(addr)
             if cell is None:
-                live.append((i, address))
-                continue
-            hits += 1
-            results[i] = _batch_item(keys, cell, memo, address)
+                live_at.append(len(sources))
+                live.append(addr)
+            else:
+                hits += 1
+            sources.append(cell)
         if trace is not None and hits:
             trace.add(
                 "plane.batch", (time.perf_counter() - started) * 1000.0, size=hits
             )
             trace.note_path("plane")
-        outcomes = engine.outcome_batch(
-            [address for _, address in live], trace=trace, plane_hits=hits
-        )
-        for (i, address), outcome in zip(live, outcomes):
+        degraded: dict[int, str] = {}
+        outcomes = engine.outcome_batch(live, trace=trace, plane_hits=hits)
+        for i, outcome in zip(live_at, outcomes):
             if isinstance(outcome, ServeError):
                 # A typed serving error is a per-item result too: the
                 # batch survives, the item is honestly unanswerable.
-                results[i] = _encode({"ip": str(address), "error": str(outcome)})
+                sources[i] = _encode({"ip": texts[i], "error": str(outcome)})
+                texts[i] = None
                 continue
-            degraded = (
-                ', "degraded": true, "degraded_vendors": '
-                + _encode(list(outcome.unavailable()))
-                if outcome.degraded
-                else ""
-            )
-            results[i] = _batch_item(keys, outcome, memo, address, degraded)
-        body = '{"count": %d, "results": [%s]' % (len(results), ", ".join(results))
+            sources[i] = outcome
+            if outcome.degraded:
+                degraded[i] = ', "degraded": true, "degraded_vendors": ' + _encode(
+                    list(outcome.unavailable())
+                )
+
+        # Pass 2 renders every item, in input order, into one list of
+        # pieces joined once.  A dotted quad needs no JSON escaping.
+        out = ['{"count": %d, "results": [' % len(texts)]
+        for i, text in enumerate(texts):
+            if i:
+                out.append(", ")
+            if text is None:
+                out.append(sources[i])
+                continue
+            out.append('{"answers": ')
+            _answers_into(out, keys, sources[i], memo)
+            if i in degraded:
+                out.append(degraded[i])
+            out += (', "ip": "', text, '"}')
+        out.append("]")
         if trace is not None:
-            body += ', "trace_id": ' + _encode_str(trace.trace_id)
+            out += (', "trace_id": ', _encode_str(trace.trace_id))
+        out.append("}")
         self._send_body(
-            200, (body + "}").encode("utf-8"), "application/json", endpoint
+            200, "".join(out).encode("utf-8"), "application/json", endpoint
         )
 
     def _handle_healthz(self, endpoint: str) -> None:

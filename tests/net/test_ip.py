@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.net import (
     AddressPoolExhaustedError,
     PrefixPool,
+    address_int,
     block_of,
     hosts_in,
     nth_address,
@@ -87,6 +88,19 @@ _OCTET_TEXT = st.one_of(
 )
 
 
+#: Dotted-quad-ish text: three to five such octets, optionally padded.
+_QUAD_TEXT = st.builds(
+    lambda octets, pad, side: (
+        pad + ".".join(octets) if side == "left"
+        else ".".join(octets) + pad if side == "right"
+        else ".".join(octets)
+    ),
+    st.lists(_OCTET_TEXT, min_size=3, max_size=5),
+    st.sampled_from(["", " ", "\t", "\n"]),
+    st.sampled_from(["left", "right", "none"]),
+)
+
+
 class TestParseAddressFastPath:
     """The dotted-quad fast path agrees with ``ipaddress`` everywhere."""
 
@@ -97,17 +111,8 @@ class TestParseAddressFastPath:
         assert type(parsed) is ipaddress.IPv4Address
         assert parsed == ipaddress.IPv4Address(text)
 
-    @given(
-        octets=st.lists(_OCTET_TEXT, min_size=3, max_size=5),
-        pad=st.sampled_from(["", " ", "\t", "\n"]),
-        side=st.sampled_from(["left", "right", "none"]),
-    )
-    def test_generated_text_matches_ipaddress(self, octets, pad, side):
-        text = ".".join(octets)
-        if side == "left":
-            text = pad + text
-        elif side == "right":
-            text = text + pad
+    @given(_QUAD_TEXT)
+    def test_generated_text_matches_ipaddress(self, text):
         expected = _reference(text)
         if expected is None:
             with pytest.raises(ValueError) as excinfo:
@@ -127,6 +132,44 @@ class TestParseAddressFastPath:
         with pytest.raises(ValueError) as excinfo:
             parse_address(text)
         assert str(excinfo.value) == f"not an IPv4 address: {text!r}"
+
+
+class TestAddressInt:
+    """``address_int`` is ``int(parse_address(...))``: it accepts and
+    refuses the same inputs with the same message.  Every string either
+    accepts is its own canonical text, which is what lets the serving
+    layer echo a batch entry instead of re-rendering its address."""
+
+    @given(st.one_of(_QUAD_TEXT, st.text(max_size=20)))
+    def test_agrees_with_parse_address_on_every_string(self, text):
+        try:
+            expected = parse_address(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                address_int(text)
+            assert str(excinfo.value) == str(exc)
+            assert str(exc) == f"not an IPv4 address: {text!r}"
+        else:
+            assert address_int(text) == int(expected)
+            assert str(expected) == text
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_canonical_quad_is_its_own_text(self, value):
+        text = str(ipaddress.IPv4Address(value))
+        assert address_int(text) == value
+        assert str(parse_address(text)) == text
+
+    @pytest.mark.parametrize(
+        "value", [0, 2**32 - 1, ipaddress.IPv4Address("10.0.0.1")]
+    )
+    def test_non_strings_take_parse_address(self, value):
+        assert address_int(value) == int(parse_address(value))
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 3.14, None, [], b"\x01"])
+    def test_non_strings_are_refused_with_the_same_message(self, bad):
+        with pytest.raises(ValueError) as excinfo:
+            address_int(bad)
+        assert str(excinfo.value) == f"not an IPv4 address: {bad!r}"
 
 
 class TestBlockOf:

@@ -354,6 +354,41 @@ def test_loaded_lazy_plane_bodies_equal_the_compiled_planes(
             server.stop()
 
 
+@pytest.mark.parametrize("engine_name", ["healthy-plane", "quarantined"])
+def test_mixed_batch_splices_every_item_in_input_order(
+    engine_name, exotic_indexes, exotic_plane, tmp_path_factory
+):
+    """One batch of every item kind — a covered address, a class-E miss,
+    an integer, a garbage string, ``null`` and a repeat — renders in
+    input order whether its items come from plane cells or go live."""
+    engine = ENGINES[engine_name](exotic_indexes, exotic_plane, tmp_path_factory)
+    first = "198.18.1.7"
+    ips = [first, "240.0.0.9", _EXOTIC_BASE + 5, "nope", None, first]
+    server = GeoServer(engine, port=0, metrics=MetricsRegistry())
+    server.start_background()
+    try:
+        data = json.dumps({"ips": ips}).encode("utf-8")
+        status, trace_id, body = _fetch(server, "/batch", "splice-1", data)
+    finally:
+        server.stop()
+    assert status == 200 and trace_id == "splice-1"
+    assert body == expected_batch_body(engine, ips, trace_id)
+    results = json.loads(body)["results"]
+    assert [item["ip"] for item in results] == [
+        first, "240.0.0.9", "198.18.0.5", "nope", "None", first
+    ]
+    assert [("error" in item) for item in results] == [
+        False, False, False, True, True, False
+    ]
+    assert results[0] == results[-1]
+    degraded = engine_name == "quarantined"
+    assert all(
+        item.get("degraded", False) is degraded
+        for item in results
+        if "error" not in item
+    )
+
+
 def test_fragment_memo_is_lazy_per_record_and_dies_with_the_generation(
     exotic_indexes, exotic_plane
 ):

@@ -17,6 +17,7 @@ import threading
 import pytest
 
 from repro.geodb import GeoDatabase
+from repro.net.ip import IPv4Address
 from repro.obs import MetricsRegistry
 from repro.serve import (
     AnswerPlane,
@@ -239,6 +240,52 @@ class TestEngineHandshake:
     def test_compile_needs_at_least_one_index(self):
         with pytest.raises(ValueError):
             compile_plane({})
+
+
+class TestLookupPlaneInput:
+    """``lookup_plane`` probes an exact in-range ``int`` as it is and
+    parses everything else, with the typed error."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        import repro.serve.engine as engine_module
+
+        seen = []
+        parse = engine_module.parse_address
+
+        def spy(address):
+            seen.append(address)
+            return parse(address)
+
+        monkeypatch.setattr(engine_module, "parse_address", spy)
+        return seen
+
+    def test_an_int_gives_the_cell_of_its_dotted_quad(
+        self, plane_engine, probe_addresses, parsed
+    ):
+        for value in probe_addresses[::7]:
+            cell = plane_engine.lookup_plane(value)
+            assert cell is not None
+            assert parsed == []  # the int skipped the parser
+            assert cell is plane_engine.lookup_plane(str(IPv4Address(value)))
+            parsed.clear()
+
+    def test_both_ends_of_the_range_are_probed(self, plane_engine, parsed):
+        assert plane_engine.lookup_plane(0) is plane_engine.lookup_plane("0.0.0.0")
+        assert plane_engine.lookup_plane(2**32 - 1) is plane_engine.lookup_plane(
+            "255.255.255.255"
+        )
+        assert parsed == ["0.0.0.0", "255.255.255.255"]
+
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    def test_out_of_range_ints_raise_the_typed_error(self, plane_engine, value):
+        with pytest.raises(ValueError, match=f"not an IPv4 address: {value}"):
+            plane_engine.lookup_plane(value)
+
+    def test_a_bool_goes_through_the_parser(self, plane_engine, parsed):
+        cell = plane_engine.lookup_plane(True)
+        assert parsed == [True]
+        assert cell is plane_engine.lookup_plane("0.0.0.1")
 
 
 class TestDegradedBypass:
