@@ -549,16 +549,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.enrich import EnrichmentPipeline, EventConfig, EventSource
         from repro.loadgen import covered_pool
         from repro.serve.engine import ServingEngine
-        from repro.serve.index import CompiledIndex
-        from repro.serve.plane import compile_plane
+        from repro.serve.plane import compile_serving_set
 
-        indexes = {
-            name: CompiledIndex.compile(database)
-            for name, database in sorted(scenario.databases.items())
-        }
-        engine = ServingEngine(
-            indexes, plane=compile_plane(indexes), metrics=MetricsRegistry()
-        )
+        indexes, plane = compile_serving_set(scenario.databases)
+        engine = ServingEngine(indexes, plane=plane, metrics=MetricsRegistry())
         source = EventSource(
             covered_pool(indexes),
             EventConfig(
@@ -650,17 +644,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "compile":
-        from repro.serve.index import CompiledIndex
-        from repro.serve.plane import PLANE_SUFFIX, compile_plane, save_plane
+        from repro.serve.plane import PLANE_SUFFIX, compile_serving_set, save_plane
         from repro.serve.snapshot import SnapshotError, save_index_set
 
-        indexes = {
-            name: CompiledIndex.compile(database)
-            for name, database in sorted(scenario.databases.items())
-        }
+        indexes, plane = compile_serving_set(scenario.databases)
         try:
             root = save_index_set(indexes, args.directory)
-            plane = compile_plane(indexes)
             save_plane(plane, root / f"plane{PLANE_SUFFIX}")
         except SnapshotError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -679,17 +668,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "serve":
         from repro.serve.engine import ServingEngine
-        from repro.serve.index import CompiledIndex
-        from repro.serve.plane import compile_plane
+        from repro.serve.plane import compile_serving_set
 
-        indexes = {
-            name: CompiledIndex.compile(database)
-            for name, database in sorted(scenario.databases.items())
-        }
+        indexes, plane = compile_serving_set(scenario.databases)
         engine = ServingEngine(
-            indexes,
-            injector=_chaos_injector(args.chaos_seed),
-            plane=compile_plane(indexes),
+            indexes, injector=_chaos_injector(args.chaos_seed), plane=plane
         )
         return _run_server(
             engine,
@@ -702,8 +685,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "snapshot":  # publish (list/rollback exit earlier)
         from repro.geodb.diff import refresh_snapshot
         from repro.serve.errors import ServeError
-        from repro.serve.index import CompiledIndex
-        from repro.serve.plane import compile_plane
+        from repro.serve.plane import compile_serving_set
         from repro.serve.store import SnapshotStore
 
         try:
@@ -722,11 +704,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     )
                     for name, database in sorted(databases.items())
                 }
-            indexes = {
-                name: CompiledIndex.compile(database)
-                for name, database in sorted(databases.items())
-            }
-            plane = compile_plane(indexes)
+            indexes, plane = compile_serving_set(databases)
             record = store.publish(
                 indexes,
                 plane,

@@ -9,8 +9,9 @@ the wall time of the study.
 :class:`LookupFrame` removes it structurally.  A frame resolves a
 deduplicated address pool against every database **exactly once**,
 through the compiled interval form
-(:func:`~repro.geodb.intervals.sweep_entry_intervals` — one C-level
-bisect per address instead of a 33-table hash walk), and stores the answers as parallel columns keyed by address *position*:
+(:func:`~repro.geodb.intervals.sweep_sorted_entries` — one C-level
+bisect per address instead of a 33-table hash walk), and stores the
+answers as parallel columns keyed by address *position*:
 
 * ``flags`` — one byte per address: coverage bitmask (covered /
   has-country / has-city / has-coordinates / block-level entry);
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.geo.coordinates import GeoPoint
 from repro.geodb.database import GeoDatabase
-from repro.geodb.intervals import sweep_entry_intervals
+from repro.geodb.intervals import number_entries, sweep_sorted_entries
 from repro.geodb.record import GeoRecord
 from repro.net.ip import IPv4Address, parse_address
 from repro.obs.reqtrace import NOOP_TRACE
@@ -196,35 +197,20 @@ def _prepare_database(database) -> tuple[list[int], list[int], list, tuple]:
 
     ``interval_slots`` maps a ``bisect_right(starts, addr)`` result to an
     entry slot (0 = miss); ``rows`` holds ``(prefixlen, record,
-    record_id)`` per entry id, in address order of first appearance —
-    the same numbering :meth:`CompiledIndex.compile` produces.
-
-    The :class:`~repro.geodb.database.GeoDatabase` goes through
-    :func:`~repro.geodb.intervals.sweep_entry_intervals` directly — no
-    interval probing, no prefix-string rendering, no serving-side probe
-    closures.
+    record_id)`` per entry id.  Entry and record ids come from
+    :func:`~repro.geodb.intervals.number_entries`, the numbering
+    :meth:`CompiledIndex.compile` stores — without its prefix-string
+    rendering or serving-side probe closures.
     """
-    starts, interval_entries = sweep_entry_intervals(database)
-    slot_ids: dict[int, int] = {}  # id(entry) → slot
-    record_ids: dict = {}
-    records_list: list = []
-    rows = []
+    starts, interval_entries = sweep_sorted_entries(database.entries())
+    answers, entries, record_ids, records = number_entries(interval_entries)
     interval_slots = [0]
-    for entry in interval_entries:
-        if entry is None:
-            interval_slots.append(0)
-            continue
-        slot = slot_ids.get(id(entry))
-        if slot is None:
-            record = entry.record
-            record_id = record_ids.get(record)
-            if record_id is None:
-                record_id = record_ids[record] = len(records_list)
-                records_list.append(record)
-            slot = slot_ids[id(entry)] = len(rows) + 1
-            rows.append((entry.prefix.prefixlen, record, record_id))
-        interval_slots.append(slot)
-    return starts, interval_slots, rows, tuple(records_list)
+    interval_slots += [answer + 1 for answer in answers]
+    rows = [
+        (entry.prefix.prefixlen, entry.record, record_id)
+        for entry, record_id in zip(entries, record_ids)
+    ]
+    return starts, interval_slots, rows, tuple(records)
 
 
 def _resolve_slots(starts, interval_slots, ints: Sequence[int]) -> list[int]:

@@ -1,29 +1,32 @@
 """Flatten a database into disjoint longest-prefix-match intervals.
 
-:func:`sweep_entry_intervals` partitions the IPv4 space by
+:func:`sweep_sorted_entries` partitions the IPv4 space by
 longest-prefix-match answer in one pass over a database's sorted entry
-list.  Two consumers build on the partition:
+list, and :func:`number_entries` numbers the answering entries and
+their records.  Two consumers build on the numbered partition:
 
 * the serving layer's :class:`~repro.serve.index.CompiledIndex`, which
-  numbers the answers into a snapshot-friendly immutable index;
+  keeps it as a snapshot-friendly immutable index;
 * the analysis layer's :class:`~repro.core.frame.LookupFrame`, which
   derives per-entry answer tables and resolves whole address pools with
   one C-level bisect per address.
 
-It lives here — beside :class:`~repro.geodb.database.GeoDatabase` —
-because both consumers need it and neither should import the other.
+Both therefore agree on every entry and record id.  It lives here —
+beside :class:`~repro.geodb.database.GeoDatabase` — because both
+consumers need it and neither should import the other.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.geodb.database import DatabaseEntry, GeoDatabase
+from repro.geodb.database import DatabaseEntry
+from repro.geodb.record import GeoRecord
 
 __all__ = [
     "ADDRESS_SPACE_END",
     "merge_starts",
-    "sweep_entry_intervals",
+    "number_entries",
     "sweep_sorted_entries",
 ]
 
@@ -46,17 +49,6 @@ def merge_starts(starts_lists: Iterable[Sequence[int]]) -> list[int]:
     if not merged:
         raise ValueError("merge_starts needs at least one interval array")
     return sorted(merged)
-
-
-def sweep_entry_intervals(
-    database: GeoDatabase,
-) -> tuple[list[int], list[DatabaseEntry | None]]:
-    """Partition the address space by ``database``'s LPM answer.
-
-    Convenience wrapper over :func:`sweep_sorted_entries` for the order
-    :meth:`GeoDatabase.entries` already maintains.
-    """
-    return sweep_sorted_entries(database.entries())
 
 
 def sweep_sorted_entries(
@@ -137,3 +129,39 @@ def sweep_sorted_entries(
             push_start(closed_end)
             push_entry(outer)
     return starts, entries
+
+
+def number_entries(
+    interval_entries: Iterable[DatabaseEntry | None],
+) -> tuple[list[int], list[DatabaseEntry], list[int], list[GeoRecord]]:
+    """Number a sweep's answering entries and their records.
+
+    Returns ``(answers, entries, record_ids, records)``: ``answers[i]``
+    is the id of the entry answering interval *i* (−1 = no coverage);
+    ``entries`` lists each answering :class:`DatabaseEntry` once, by
+    first appearance in address order; ``record_ids[e]`` is entry *e*'s
+    id into ``records``, which holds each distinct record once (records
+    are deduplicated by value, entries by identity).
+    """
+    record_ids: dict[GeoRecord, int] = {}
+    records: list[GeoRecord] = []
+    entry_ids: dict[int, int] = {}  # id(entry) → entry number
+    entries: list[DatabaseEntry] = []
+    entry_record_ids: list[int] = []
+
+    answers: list[int] = []
+    for entry in interval_entries:
+        if entry is None:
+            answer = -1
+        else:
+            answer = entry_ids.get(id(entry))
+            if answer is None:
+                record_id = record_ids.get(entry.record)
+                if record_id is None:
+                    record_id = record_ids[entry.record] = len(records)
+                    records.append(entry.record)
+                answer = entry_ids[id(entry)] = len(entries)
+                entries.append(entry)
+                entry_record_ids.append(record_id)
+        answers.append(answer)
+    return answers, entries, entry_record_ids, records

@@ -36,7 +36,8 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
     starts with ``"not an IPv4 address"``, so callers (the database lookup
     path, the HTTP serving layer) can catch bad input without knowing the
     zoo of :mod:`ipaddress` exception types (``AddressValueError``,
-    ``OverflowError``, ``TypeError``).
+    ``OverflowError``, ``TypeError``).  A ``bool`` is refused too: it is
+    an ``int`` to Python, but a JSON ``true`` is not the address 0.0.0.1.
     """
     if isinstance(text, IPv4Address):
         return text
@@ -46,6 +47,8 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
         # short forms) but only ever sees text the pattern proved
         # canonical; everything else takes the general path below.
         return IPv4Address(int.from_bytes(socket.inet_aton(text), "big"))
+    if isinstance(text, bool):
+        raise ValueError(f"not an IPv4 address: {text!r}")
     try:
         return ipaddress.IPv4Address(text)
     except (ValueError, OverflowError, TypeError) as exc:

@@ -33,7 +33,7 @@ the exact pre-observability code path.
 """
 
 from repro.obs.logging import StageLogger
-from repro.obs.manifest import RunManifest, manifest_from_json
+from repro.obs.manifest import RunManifest
 from repro.obs.metrics import CounterCell, MetricsRegistry
 from repro.obs.prom import render_prometheus, validate_exposition
 from repro.obs.quantiles import BucketHistogram, Histogram
@@ -59,7 +59,6 @@ __all__ = [
     "SpanRecord",
     "StageLogger",
     "TraceRing",
-    "manifest_from_json",
     "new_trace_id",
     "render_prometheus",
     "render_span_tree",

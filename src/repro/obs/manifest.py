@@ -27,7 +27,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["RunManifest", "manifest_from_json", "sha256_digest"]
+__all__ = ["RunManifest", "sha256_digest"]
 
 #: 2: span nodes are ``RequestTrace.to_dict`` nodes (``duration_ms``,
 #: ``attrs``) instead of ``duration_s``/``items``/``attributes``.
@@ -118,8 +118,3 @@ class RunManifest:
         for root in self.spans:
             names.extend(visit(root))
         return tuple(names)
-
-
-def manifest_from_json(text: str) -> RunManifest:
-    """Module-level alias of :meth:`RunManifest.from_json`."""
-    return RunManifest.from_json(text)

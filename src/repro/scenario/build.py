@@ -289,37 +289,38 @@ def build_scale_tier(
         generator = StreamingSnapshotGenerator(
             world, config.seed + ScenarioConfig().database_seed_offset
         )
+        # (vendor, phase key, entry stream): the generated profiles, then
+        # the GeoLite edition derived from the paid stream.  The streams
+        # are lazy, so each runs only when its compile consumes it.
+        derivation = MAXMIND_GEOLITE_DERIVATION
+        streams = [
+            (
+                profile.name,
+                f"compile_{profile.vendor_key}_s",
+                generator.iter_entries(profile),
+            )
+            for profile in GENERATED_PROFILES
+        ]
+        streams.append(
+            (
+                derivation.name,
+                "compile_derived_s",
+                generator.iter_derived(generator.iter_entries(MAXMIND_PAID), derivation),
+            )
+        )
         indexes: dict[str, CompiledIndex] = {}
         vendor_stats: dict[str, dict[str, int]] = {}
-        for profile in GENERATED_PROFILES:
-            with tracer.span("stream_compile", vendor=profile.name) as span:
+        for name, phase, entries in streams:
+            with tracer.span("stream_compile", vendor=name) as span:
                 t0 = time.perf_counter()
-                index = CompiledIndex.compile_entries(
-                    profile.name, generator.iter_entries(profile)
-                )
-                phases[f"compile_{profile.vendor_key}_s"] = time.perf_counter() - t0
+                index = CompiledIndex.compile_entries(name, entries)
+                phases[phase] = time.perf_counter() - t0
                 span.set(items=index.interval_count)
-            indexes[profile.name] = index
-            vendor_stats[profile.name] = {
+            indexes[name] = index
+            vendor_stats[name] = {
                 "entries": index.source_entries,
                 "intervals": index.interval_count,
             }
-        derivation = MAXMIND_GEOLITE_DERIVATION
-        with tracer.span("stream_compile", vendor=derivation.name) as span:
-            t0 = time.perf_counter()
-            index = CompiledIndex.compile_entries(
-                derivation.name,
-                generator.iter_derived(
-                    generator.iter_entries(MAXMIND_PAID), derivation
-                ),
-            )
-            phases["compile_derived_s"] = time.perf_counter() - t0
-            span.set(items=index.interval_count)
-        indexes[derivation.name] = index
-        vendor_stats[derivation.name] = {
-            "entries": index.source_entries,
-            "intervals": index.interval_count,
-        }
 
         with tracer.span("compile_plane") as span:
             t0 = time.perf_counter()

@@ -187,8 +187,7 @@ def run_longitudinal_churn(
     # Imported here so the scenario package keeps no hard serve dependency
     # at import time (mirrors how the CLI defers its serve imports).
     from repro.serve.engine import ServingEngine
-    from repro.serve.index import CompiledIndex
-    from repro.serve.plane import compile_plane
+    from repro.serve.plane import compile_serving_set
     from repro.serve.store import SnapshotStore, StoreWatcher
 
     if probes is None:
@@ -199,16 +198,9 @@ def run_longitudinal_churn(
     if not probes:
         raise ValueError("the probe set must not be empty")
 
-    def compile_all(databases):
-        indexes = {
-            name: CompiledIndex.compile(database)
-            for name, database in sorted(databases.items())
-        }
-        return indexes, compile_plane(indexes, city_range_km=city_range_km)
-
     store = SnapshotStore(store_root)
     databases = dict(scenario.databases)
-    indexes, plane = compile_all(databases)
+    indexes, plane = compile_serving_set(databases, city_range_km=city_range_km)
     store.publish(
         indexes, plane, metadata={"seed": seed, "months": 0.0, "step": 1}
     )
@@ -274,7 +266,7 @@ def run_longitudinal_churn(
                     "moved_rate": round(diff.moved_rate, 6),
                 }
             databases = aged
-            indexes, plane = compile_all(databases)
+            indexes, plane = compile_serving_set(databases, city_range_km=city_range_km)
             record = store.publish(
                 indexes,
                 plane,

@@ -899,9 +899,10 @@ class ServingEngine:
         is currently degraded; the caller falls back to
         :meth:`lookup_outcome` / :meth:`outcome_batch`.
 
-        An in-range ``int`` (exactly ``int``: a ``bool`` is parsed like
-        any other input) is probed as it is; anything else goes through
-        :func:`~repro.net.ip.parse_address` and raises its ``ValueError``.
+        An in-range ``int`` (exactly ``int``) is probed as it is; anything
+        else goes through :func:`~repro.net.ip.parse_address` and raises
+        its ``ValueError`` — a ``bool`` included, which the parser
+        refuses.
         """
         gen = self._gen
         plane = gen.plane_live

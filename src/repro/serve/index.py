@@ -25,43 +25,11 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.geodb.database import DatabaseEntry, GeoDatabase
 from repro.geodb.intervals import ADDRESS_SPACE_END as _ADDRESS_SPACE_END
-from repro.geodb.intervals import sweep_entry_intervals, sweep_sorted_entries
+from repro.geodb.intervals import number_entries, sweep_sorted_entries
 from repro.geodb.record import GeoRecord
 from repro.net.ip import IPv4Address, parse_address
 
-__all__ = ["CompiledIndex", "IndexAnswer", "sweep_entry_intervals"]
-
-
-def _number_intervals(
-    interval_entries: Sequence[DatabaseEntry | None],
-) -> tuple[list[int], tuple[tuple[str, int], ...], tuple[GeoRecord, ...]]:
-    """Number a sweep's answering entries in address order.
-
-    Shared by :meth:`CompiledIndex.compile` and
-    :meth:`CompiledIndex.compile_entries` so both paths produce the same
-    ``(answers, entries, records)`` tables for the same sweep — entry ids
-    by first appearance, records deduplicated by value.
-    """
-    record_ids: dict[GeoRecord, int] = {}
-    records: list[GeoRecord] = []
-    entry_ids: dict[int, int] = {}  # id(entry) → entry number
-    entries: list[tuple[str, int]] = []
-
-    answers: list[int] = []
-    for entry in interval_entries:
-        if entry is None:
-            answer = -1
-        else:
-            answer = entry_ids.get(id(entry))
-            if answer is None:
-                record_id = record_ids.get(entry.record)
-                if record_id is None:
-                    record_id = record_ids[entry.record] = len(records)
-                    records.append(entry.record)
-                answer = entry_ids[id(entry)] = len(entries)
-                entries.append((str(entry.prefix), record_id))
-        answers.append(answer)
-    return answers, tuple(entries), tuple(records)
+__all__ = ["CompiledIndex", "IndexAnswer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,8 +81,9 @@ class CompiledIndex:
     loses to the hash-table walk — plain lists keep the probe in C all the
     way.  (Snapshots still pack to fixed-width integers on disk.)
 
-    Construct via :meth:`compile` (from a database) or :meth:`from_parts`
-    (from a loaded snapshot).
+    Construct via :meth:`compile` (from a database),
+    :meth:`compile_entries` (from a sorted entry stream), or the
+    constructor (from a loaded snapshot's components, validating shape).
     """
 
     __slots__ = (
@@ -224,23 +193,10 @@ class CompiledIndex:
 
     @classmethod
     def compile(cls, database: GeoDatabase) -> "CompiledIndex":
-        """Flatten ``database`` into the interval form.
-
-        The partition comes from :func:`sweep_entry_intervals`; a second
-        pass numbers the answering entries in address order, so the
-        output is identical to probing the original engine at every
-        prefix boundary.
-        """
-        starts, interval_entries = sweep_entry_intervals(database)
-        answers, entries, records = _number_intervals(interval_entries)
-        return cls(
-            name=database.name,
-            source_entries=len(database),
-            starts=starts,
-            answers=answers,
-            entries=entries,
-            records=records,
-        )
+        """Flatten ``database`` into the interval form (see
+        :meth:`compile_entries`), so the output is identical to probing
+        the original engine at every prefix boundary."""
+        return cls.compile_entries(database.name, database.entries())
 
     @classmethod
     def compile_entries(
@@ -248,16 +204,17 @@ class CompiledIndex:
     ) -> "CompiledIndex":
         """Flatten a *stream* of sorted entries into the interval form.
 
-        The scale tier's compile path: the entries never become a
-        :class:`GeoDatabase` (no per-length hash tables, no entry tuple)
-        — they flow from a streaming generator through the interval
-        sweep one at a time, and only the compiled interval arrays
-        materialize.  Given the entries a database would hold, in the
+        Every compile runs here: :meth:`compile` passes a database's
+        entries, and the scale tier streams them from a generator, so
+        they never become a :class:`GeoDatabase` (no per-length hash
+        tables, no entry tuple) and only the compiled interval arrays
+        materialize.  The entries go through
+        :func:`~repro.geodb.intervals.sweep_sorted_entries` and
+        :func:`~repro.geodb.intervals.number_entries` — the same sweep
+        and numbering the study's frame uses.  They must arrive in the
         ``(network_address, prefixlen)`` order :meth:`GeoDatabase.entries`
-        maintains, the result is identical to ``compile(GeoDatabase(name,
-        entries))`` — proven byte-identical snapshot-for-snapshot in the
-        equivalence tests.  Out-of-order input is detected and refused
-        (a silent mis-sweep would mis-answer the whole space).
+        maintains; out-of-order input is detected and refused (a silent
+        mis-sweep would mis-answer the whole space).
         """
         count = 0
 
@@ -276,33 +233,16 @@ class CompiledIndex:
                 yield entry
 
         starts, interval_entries = sweep_sorted_entries(ordered())
-        answers, entries, records = _number_intervals(interval_entries)
+        answers, entries, record_ids, records = number_entries(interval_entries)
         return cls(
             name=name,
             source_entries=count,
             starts=starts,
             answers=answers,
-            entries=entries,
-            records=records,
-        )
-
-    @classmethod
-    def from_parts(
-        cls,
-        name: str,
-        source_entries: int,
-        starts: Sequence[int],
-        answers: Sequence[int],
-        entries: Sequence[tuple[str, int]],
-        records: Sequence[GeoRecord],
-    ) -> "CompiledIndex":
-        """Rebuild an index from snapshot components (validating shape)."""
-        return cls(
-            name=name,
-            source_entries=source_entries,
-            starts=starts,
-            answers=answers,
-            entries=entries,
+            entries=[
+                (str(entry.prefix), record_id)
+                for entry, record_id in zip(entries, record_ids)
+            ],
             records=records,
         )
 

@@ -66,6 +66,7 @@ from repro.core.majority import (
     majority_of_records,
 )
 from repro.geo.coordinates import GeoPoint
+from repro.geodb.database import GeoDatabase
 from repro.geodb.intervals import merge_starts
 from repro.net.ip import IPv4Address, parse_address
 from repro.serve.engine import ConsensusAnswer, LookupOutcome
@@ -83,6 +84,7 @@ __all__ = [
     "PLANE_SUFFIX",
     "PlaneAnswer",
     "compile_plane",
+    "compile_serving_set",
     "load_plane",
     "save_plane",
 ]
@@ -567,6 +569,22 @@ def compile_plane(
         city_range_km=city_range_km,
         quorum_min=quorum_min,
     )
+
+
+def compile_serving_set(
+    databases: Mapping[str, GeoDatabase],
+    *,
+    city_range_km: float = DEFAULT_CITY_RANGE_KM,
+) -> tuple[dict[str, CompiledIndex], AnswerPlane]:
+    """Compile a snapshot set: one :class:`CompiledIndex` per database,
+    in name order, and the answer plane bound to exactly those indexes
+    — what ``compile``, ``serve``, ``enrich`` and ``snapshot publish``
+    serve or write."""
+    indexes = {
+        name: CompiledIndex.compile(database)
+        for name, database in sorted(databases.items())
+    }
+    return indexes, compile_plane(indexes, city_range_km=city_range_km)
 
 
 # -- persistence (.rgpl) -----------------------------------------------------

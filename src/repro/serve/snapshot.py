@@ -251,7 +251,7 @@ def _load_index(
         answers = struct.unpack_from(f"<{count}i", payload, 4 * count)
         tail = json.loads(payload[8 * count :].decode("utf-8"))
         records = [_record_from_row(row) for row in tail["records"]]
-        index = CompiledIndex.from_parts(
+        index = CompiledIndex(
             name=name,
             source_entries=int(header["source_entries"]),
             starts=starts,

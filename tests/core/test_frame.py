@@ -96,6 +96,21 @@ class TestColumnEquivalence:
                     assert column.lons[position] == record.longitude
                 assert column.record_at(position) == record
 
+    def test_record_numbering_is_the_compiled_index_numbering(
+        self, small_scenario, probe_addresses, pool_frame
+    ):
+        """Frame and serving index number records in one place
+        (``number_entries``), so their record tables and per-address
+        answers agree."""
+        from repro.serve import CompiledIndex
+
+        for name, database in small_scenario.databases.items():
+            column = pool_frame.column(name)
+            index = CompiledIndex.compile(database)
+            assert column.records == index.parts()[3]
+            for position, address in enumerate(probe_addresses):
+                assert column.record_at(position) == index.probe(int(address))
+
     def test_block_level_flag_tracks_the_matched_prefix_length(
         self, small_scenario, probe_addresses, pool_frame
     ):

@@ -1,6 +1,6 @@
 """The interval sweep: partition invariants and engine equivalence.
 
-:func:`~repro.geodb.intervals.sweep_entry_intervals` replaces probing
+:func:`~repro.geodb.intervals.sweep_sorted_entries` replaces probing
 the hash-table engine at every prefix boundary with one stack-based pass
 over the sorted entry list.  The bar is exactness: the partition must
 answer every address the way :meth:`GeoDatabase.lookup` does, including
@@ -8,7 +8,7 @@ at the edges where prefixes nest, abut, and close.
 """
 
 from repro.geodb import GeoDatabase, GeoRecord, single_prefix
-from repro.geodb.intervals import ADDRESS_SPACE_END, sweep_entry_intervals
+from repro.geodb.intervals import ADDRESS_SPACE_END, sweep_sorted_entries
 
 
 def build(name, prefixes):
@@ -31,7 +31,7 @@ def boundary_probes(starts):
 
 
 def assert_partition_matches_engine(database):
-    starts, entries = sweep_entry_intervals(database)
+    starts, entries = sweep_sorted_entries(database.entries())
     assert starts[0] == 0
     assert all(a < b for a, b in zip(starts, starts[1:]))
     assert all(a is not b for a, b in zip(entries, entries[1:]))  # merged
@@ -97,7 +97,7 @@ class TestToyShapes:
         assert answers == [None, "US", "CA", None]
 
     def test_empty_database_is_one_miss_interval(self):
-        starts, entries = sweep_entry_intervals(GeoDatabase("empty", []))
+        starts, entries = sweep_sorted_entries(GeoDatabase("empty", []).entries())
         assert starts == [0]
         assert entries == [None]
 
@@ -113,7 +113,7 @@ class TestVendorEquivalence:
         from bisect import bisect_right
 
         for database in small_scenario.databases.values():
-            starts, entries = sweep_entry_intervals(database)
+            starts, entries = sweep_sorted_entries(database.entries())
             shifted = [None, *entries]
             for address in probe_addresses:
                 entry = shifted[bisect_right(starts, address)]

@@ -54,6 +54,8 @@ class TestParsing:
             3.14,
             None,
             b"\x01",
+            True,  # an int to Python, not an address
+            False,
         ],
     )
     def test_parse_address_rejects_garbage_uniformly(self, bad):
@@ -165,7 +167,9 @@ class TestAddressInt:
     def test_non_strings_take_parse_address(self, value):
         assert address_int(value) == int(parse_address(value))
 
-    @pytest.mark.parametrize("bad", [-1, 2**32, 3.14, None, [], b"\x01"])
+    @pytest.mark.parametrize(
+        "bad", [-1, 2**32, 3.14, None, [], b"\x01", True, False]
+    )
     def test_non_strings_are_refused_with_the_same_message(self, bad):
         with pytest.raises(ValueError) as excinfo:
             address_int(bad)

@@ -5,7 +5,6 @@ import json
 from repro.obs.manifest import (
     MANIFEST_VERSION,
     RunManifest,
-    manifest_from_json,
     sha256_digest,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -87,7 +86,7 @@ class TestManifestRoundTrip:
             metrics=metrics,
             digests={"summary_sha256": "ab" * 32},
         )
-        restored = manifest_from_json(manifest.to_json())
+        restored = RunManifest.from_json(manifest.to_json())
         assert restored == manifest
 
     def test_digest_is_stable(self):

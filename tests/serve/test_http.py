@@ -107,6 +107,15 @@ class TestEndpoints:
         for result in body["results"][:2] + body["results"][3:]:
             assert set(result["answers"]) == set(small_scenario.databases)
 
+    def test_batch_refuses_a_json_bool_per_item(self, server):
+        status, body = post(server, "/batch", {"ips": [True, 1]})
+        assert status == 200
+        assert body["results"][0] == {
+            "ip": "True",
+            "error": "not an IPv4 address: True",
+        }
+        assert body["results"][1]["ip"] == "0.0.0.1"
+
     def test_statusz_exposes_serve_metrics(self, server):
         get(server, "/lookup?ip=41.0.0.2")
         status, body = get(server, "/statusz")
