@@ -12,10 +12,11 @@ be *quantified*: evaluate databases against the vote, evaluate them
 against real ground truth, and measure how much the vote flatters the
 databases — and whom it flatters most.
 
+:func:`majority_of_records` is the vote itself, over answer records
+already resolved (the serving consensus calls it directly);
 :func:`majority_location` stays duck-typed over any mapping of objects
-with a ``lookup`` method (the serving layer feeds it compiled indexes);
-the bulk entry points :func:`majority_vote_reference` and
-:func:`score_against_majority` read a
+with a ``lookup`` method; the bulk entry points
+:func:`majority_vote_reference` and :func:`score_against_majority` read a
 :class:`~repro.core.frame.LookupFrame` (prebuilt, or built from a
 database mapping) like every other table-level stage.
 """
@@ -66,16 +67,45 @@ class MajorityAgreement:
         return self.city_agreeing / self.city_compared if self.city_compared else 0.0
 
 
-def _tally(
+def majority_location(
     address: IPv4Address,
-    answers,
-    city_range_km: float,
+    databases: Mapping[str, GeoDatabase],
+    *,
+    city_range_km: float = DEFAULT_CITY_RANGE_KM,
 ) -> MajorityLocation:
-    """The vote itself, over one address's answer records (None = miss)."""
+    """Infer one address's location by vote across the databases.
+
+    Country: plurality of ISO codes (ties → no quorum).  Coordinates: the
+    medoid of the largest cluster of answers within the city range of each
+    other — the same co-location notion the comparative studies used.
+    """
+    return MajorityLocation(
+        address,
+        *majority_of_records(
+            [database.lookup(address) for database in databases.values()],
+            city_range_km=city_range_km,
+        ),
+    )
+
+
+def majority_of_records(
+    records,
+    *,
+    city_range_km: float = DEFAULT_CITY_RANGE_KM,
+) -> tuple[str | None, int, GeoPoint | None, int, int]:
+    """The vote itself over one address's answer records (``None`` = miss):
+    ``(country, country_votes, location, location_votes, voters)``, the
+    fields of :class:`MajorityLocation` after its address.
+
+    Every vote runs here — the study's :func:`majority_location` and
+    :func:`majority_vote_reference`, and the serving consensus, which
+    resolves every vendor once and votes over those records directly —
+    so all of them share one plurality, clustering, and tie-break rule.
+    """
     countries: dict[str, int] = {}
     coordinates: list[GeoPoint] = []
     voters = 0
-    for record in answers:
+    for record in records:
         if record is None:
             continue
         voters += 1
@@ -112,49 +142,7 @@ def _tally(
             )
             location_votes = len(best_cluster)
 
-    return MajorityLocation(
-        address=address,
-        country=country,
-        country_votes=country_votes,
-        location=location,
-        location_votes=location_votes,
-        voters=voters,
-    )
-
-
-def majority_location(
-    address: IPv4Address,
-    databases: Mapping[str, GeoDatabase],
-    *,
-    city_range_km: float = DEFAULT_CITY_RANGE_KM,
-) -> MajorityLocation:
-    """Infer one address's location by vote across the databases.
-
-    Country: plurality of ISO codes (ties → no quorum).  Coordinates: the
-    medoid of the largest cluster of answers within the city range of each
-    other — the same co-location notion the comparative studies used.
-    """
-    return _tally(
-        address,
-        (database.lookup(address) for database in databases.values()),
-        city_range_km,
-    )
-
-
-def majority_of_records(
-    address: IPv4Address,
-    records,
-    *,
-    city_range_km: float = DEFAULT_CITY_RANGE_KM,
-) -> MajorityLocation:
-    """The same vote over already-resolved answer records (``None`` = miss).
-
-    The serving engine resolves every vendor once per request and votes
-    over those records directly — this entry point keeps it on the exact
-    §5.1 tally (same plurality, clustering, and tie-break rules) instead
-    of re-looking addresses up or reimplementing the vote.
-    """
-    return _tally(address, records, city_range_km)
+    return country, country_votes, location, location_votes, voters
 
 
 def disagreement_of_records(
@@ -191,10 +179,12 @@ def majority_vote_reference(
         raise ValueError("a majority vote needs at least two databases")
     columns = [frame.column(name) for name in frame.names]
     return {
-        address: _tally(
+        address: MajorityLocation(
             address,
-            [column.record_at(position) for column in columns],
-            city_range_km,
+            *majority_of_records(
+                [column.record_at(position) for column in columns],
+                city_range_km=city_range_km,
+            ),
         )
         for address, position in zip(pool, frame.positions(pool))
     }

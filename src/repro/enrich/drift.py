@@ -50,9 +50,11 @@ ALERT_KINDS = ("country_flip", "city_flip", "coverage_loss")
 class DriftAlert:
     """One vendor's drift from the consensus on one event.
 
-    ``observed`` is the vendor's answer, ``expected`` the consensus view
-    (country code for flips and coverage loss, city name for city
-    flips); ``distance_km`` is filled for city flips only.
+    ``observed`` is the vendor's answer (its country code, or its city
+    name for city flips; ``None`` for coverage loss), ``expected`` the
+    consensus country for every kind of alert — the consensus carries a
+    location but no city name; ``distance_km`` is filled for city flips
+    only.
     """
 
     seq: int

@@ -65,7 +65,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.majority import (
     DEFAULT_CITY_RANGE_KM,
@@ -86,6 +86,7 @@ __all__ = [
     "LookupOutcome",
     "ResiliencePolicy",
     "ServingEngine",
+    "consensus_of_records",
 ]
 
 @dataclass(frozen=True, slots=True)
@@ -238,9 +239,10 @@ class LookupOutcome:
 
     ``cell`` is the :class:`~repro.serve.plane.PlaneAnswer` a healthy
     plane lookup came from (``None`` on the live and degraded paths), so
-    :meth:`ServingEngine.consensus_of` can reuse the vote the plane
-    tallied at compile time.  It takes no part in equality or
-    ``repr``: a plane outcome equals the live outcome for its address.
+    :meth:`ServingEngine.consensus_of` can return the cell's one
+    :class:`ConsensusAnswer`, built at compile time.  It takes no part
+    in equality or ``repr``: a plane outcome equals the live outcome for
+    its address.
     """
 
     address: IPv4Address
@@ -263,9 +265,8 @@ class LookupOutcome:
         return tuple(sorted({*self.errors, *self.quarantined, *self.skipped}))
 
 
-@dataclass(frozen=True, slots=True)
-class ConsensusAnswer:
-    """The multi-vendor view of one address.
+class ConsensusAnswer(NamedTuple):
+    """The multi-vendor view of one address's answers.
 
     ``country``/``location`` are the majority vote's answers (``None``
     when no quorum forms); the disagreement flags are the §5.1
@@ -275,9 +276,15 @@ class ConsensusAnswer:
     ``degraded`` is True when the vote ran over fewer vendors than the
     engine serves (failures/quarantine/deadline); ``quorum`` is True
     when at least ``ResiliencePolicy.quorum_min`` vendors answered.
+
+    The vote carries no address: every address of a plane cell shares
+    the cell's one answer, and callers report the address they asked
+    about.  Build one with :func:`consensus_of_records`.  A named tuple
+    rather than a frozen dataclass because a plane cell builds its
+    consensus on the first probe that lands in it, while a live request
+    waits.
     """
 
-    address: IPv4Address
     country: str | None
     country_votes: int
     location: GeoPoint | None
@@ -307,6 +314,30 @@ class ConsensusAnswer:
             "degraded": self.degraded,
             "quorum": self.quorum,
         }
+
+
+def consensus_of_records(
+    records: Sequence,
+    *,
+    city_range_km: float,
+    quorum_min: int,
+    degraded: bool = False,
+) -> ConsensusAnswer:
+    """The §5.1 consensus over one address's answer records: the
+    majority vote, the disagreement flags, and the quorum verdict.
+
+    The one builder for both the live path
+    (:meth:`ServingEngine.consensus_of`) and the answer plane's
+    compile-time cells, so the two can never drift apart.
+    """
+    *vote, voters = majority_of_records(records, city_range_km=city_range_km)
+    return ConsensusAnswer(
+        *vote,
+        voters,
+        *disagreement_of_records(records, city_range_km=city_range_km),
+        degraded,
+        voters >= quorum_min,
+    )
 
 
 class ServingEngine:
@@ -970,36 +1001,24 @@ class ServingEngine:
         """Majority answer plus disagreement/degradation flags for an
         already-resolved outcome (no second lookup pass).
 
-        A plane outcome carries its cell, whose vote was tallied at
-        compile time: that is a field copy, not a fresh vote.
+        A plane outcome carries its cell, whose consensus was built at
+        compile time: every request landing in the cell gets that one
+        object.
         """
         if self._metrics is not None:
             self._metrics.inc("serve.consensus")
         cell = outcome.cell
         if cell is not None:
-            return cell.consensus_at(outcome.address)
-        records = [
-            answer.record
-            for answer in outcome.answers.values()
-            if answer is not None
-        ]
-        vote = majority_of_records(
-            outcome.address, records, city_range_km=self.city_range_km
-        )
-        country_disagreement, city_disagreement = disagreement_of_records(
-            records, city_range_km=self.city_range_km
-        )
-        return ConsensusAnswer(
-            address=outcome.address,
-            country=vote.country,
-            country_votes=vote.country_votes,
-            location=vote.location,
-            location_votes=vote.location_votes,
-            voters=vote.voters,
-            country_disagreement=country_disagreement,
-            city_disagreement=city_disagreement,
+            return cell.consensus
+        return consensus_of_records(
+            [
+                answer.record
+                for answer in outcome.answers.values()
+                if answer is not None
+            ],
+            city_range_km=self.city_range_km,
+            quorum_min=self._policy.quorum_min,
             degraded=outcome.degraded,
-            quorum=vote.voters >= self._policy.quorum_min,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -252,9 +252,7 @@ class CompiledIndex:
         """The location record for ``address``, or ``None`` (no coverage).
 
         Signature- and answer-compatible with :meth:`GeoDatabase.lookup`,
-        so index mappings drop into code written against databases (the
-        consensus logic reuses :func:`repro.core.majority.majority_location`
-        this way).
+        so index mappings drop into code written against databases.
         """
         return self.probe(int(parse_address(address)))
 

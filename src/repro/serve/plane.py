@@ -17,19 +17,20 @@ cross-vendor boundary array (:func:`repro.geodb.intervals.merge_starts`:
 inside a merged interval no vendor's answer can change) and precomputes,
 per merged interval, the answer *cell*: which entry of each vendor's
 index answers it, and the §5.1 consensus — majority country/location
-with vote counts (via :func:`repro.core.majority.majority_of_records`,
-never a reimplemented tally), disagreement flags, and the quorum
-verdict.  Adjacent intervals with identical cells merge, and identical
-cells share one row of a packed cell table.
+with vote counts, disagreement flags, and the quorum verdict, built by
+the live path's own :func:`~repro.serve.engine.consensus_of_records`,
+never a reimplemented tally.  Adjacent intervals with identical cells
+merge, and identical cells share one row of a packed cell table.
 
 Cells point into the indexes instead of restating them, and decode
 lazily: a cell becomes a :class:`PlaneAnswer` (the vendors' shared
-:class:`~repro.serve.index.IndexAnswer` objects plus the vote) the
-first time a lookup lands in it, is memoized per cell id, and is then
-cached in the probed interval's slot — so a server boots without
-building tens of thousands of cells it may never serve, and a warm
-healthy-path lookup is still one C-level ``bisect`` plus one list read
-(and one ``is None`` test).
+:class:`~repro.serve.index.IndexAnswer` objects and one
+:class:`~repro.serve.engine.ConsensusAnswer` that every request landing
+in the cell is handed) the first time a lookup lands in it, is memoized
+per cell id, and is then cached in the probed interval's slot — so a
+server boots without building tens of thousands of cells it may never
+serve, and a warm healthy-path lookup is still one C-level ``bisect``
+plus one list read (and one ``is None`` test).
 
 The plane only ever encodes the *healthy* answer: the serving engine
 consults it exclusively while every vendor is healthy and no fault
@@ -60,16 +61,12 @@ from array import array
 from bisect import bisect_right
 from typing import Mapping, NamedTuple, Sequence
 
-from repro.core.majority import (
-    DEFAULT_CITY_RANGE_KM,
-    disagreement_of_records,
-    majority_of_records,
-)
+from repro.core.majority import DEFAULT_CITY_RANGE_KM
 from repro.geo.coordinates import GeoPoint
 from repro.geodb.database import GeoDatabase
 from repro.geodb.intervals import merge_starts
 from repro.net.ip import IPv4Address, parse_address
-from repro.serve.engine import ConsensusAnswer, LookupOutcome
+from repro.serve.engine import ConsensusAnswer, LookupOutcome, consensus_of_records
 from repro.serve.index import CompiledIndex, IndexAnswer
 from repro.serve.snapshot import (
     SnapshotError,
@@ -113,44 +110,23 @@ class PlaneAnswer(NamedTuple):
 
     ``answers`` is the exact mapping a healthy
     :class:`~repro.serve.engine.LookupOutcome` would carry (one key per
-    vendor, ``None`` = healthy-but-no-coverage); the remaining fields are
-    the §5.1 consensus the live path would re-derive per request.  Cells
-    are shared across every request that lands in their intervals —
-    treat all containers as read-only.  A named tuple rather than a
-    frozen dataclass: a cell is built on the first probe that lands in
-    it, so its construction cost (a quarter of a frozen dataclass's)
-    is paid by a live request.
+    vendor, ``None`` = healthy-but-no-coverage); ``consensus`` is the
+    §5.1 consensus the live path would build per request, one object
+    that every request landing in the cell is handed.  Cells are shared
+    across every request that lands in their intervals — treat all
+    containers as read-only.  A named tuple rather than a frozen
+    dataclass: a cell is built on the first probe that lands in it, so
+    its construction cost (a quarter of a frozen dataclass's) is paid by
+    a live request.
     """
 
     answers: Mapping[str, IndexAnswer | None]
-    country: str | None
-    country_votes: int
-    location: GeoPoint | None
-    location_votes: int
-    voters: int
-    country_disagreement: bool
-    city_disagreement: bool
-    quorum: bool
+    consensus: ConsensusAnswer
 
     def outcome_at(self, address: IPv4Address) -> LookupOutcome:
         """This cell as a healthy :class:`LookupOutcome` for ``address``,
         carrying the cell so its precomputed consensus is reused."""
         return LookupOutcome(address=address, answers=self.answers, cell=self)
-
-    def consensus_at(self, address: IPv4Address) -> ConsensusAnswer:
-        """This cell as a healthy :class:`ConsensusAnswer` for ``address``."""
-        return ConsensusAnswer(
-            address=address,
-            country=self.country,
-            country_votes=self.country_votes,
-            location=self.location,
-            location_votes=self.location_votes,
-            voters=self.voters,
-            country_disagreement=self.country_disagreement,
-            city_disagreement=self.city_disagreement,
-            degraded=False,
-            quorum=self.quorum,
-        )
 
 
 class _CellTable:
@@ -162,8 +138,9 @@ class _CellTable:
     ``countries`` (−1 = none); the three vote counts; a flags byte (both
     disagreements, quorum, has-location); and the consensus location.
     Columns are :mod:`array` arrays — a few bytes per cell instead of a
-    dict and a dataclass — and :meth:`decode` rebuilds one
-    :class:`PlaneAnswer` from a row.
+    dict and a dataclass.  :meth:`append` packs a cell's
+    :class:`~repro.serve.engine.ConsensusAnswer` into its row and
+    :meth:`decode` rebuilds one :class:`PlaneAnswer` from a row.
     """
 
     __slots__ = (
@@ -217,19 +194,11 @@ class _CellTable:
             names, indexes, [], [array(code) for code in cls.typecodes(len(names))]
         )
 
-    def append(
-        self,
-        entry_ids: Sequence[int],
-        country: str | None,
-        country_votes: int,
-        location: GeoPoint | None,
-        location_votes: int,
-        voters: int,
-        flags: int,
-    ) -> None:
+    def append(self, entry_ids: Sequence[int], consensus: ConsensusAnswer) -> None:
         """Add one cell row (compile time)."""
         for column, entry_id in zip(self.entry_ids, entry_ids):
             column.append(entry_id)
+        country, location = consensus.country, consensus.location
         if country is None:
             self.country_ids.append(-1)
         else:
@@ -240,10 +209,15 @@ class _CellTable:
             self.country_ids.append(country_id)
         self.lats.append(location.lat if location is not None else 0.0)
         self.lons.append(location.lon if location is not None else 0.0)
-        self.country_votes.append(country_votes)
-        self.location_votes.append(location_votes)
-        self.voters.append(voters)
-        self.flags.append(flags)
+        self.country_votes.append(consensus.country_votes)
+        self.location_votes.append(consensus.location_votes)
+        self.voters.append(consensus.voters)
+        self.flags.append(
+            (_COUNTRY_DISAGREEMENT if consensus.country_disagreement else 0)
+            | (_CITY_DISAGREEMENT if consensus.city_disagreement else 0)
+            | (_QUORUM if consensus.quorum else 0)
+            | (_HAS_LOCATION if location is not None else 0)
+        )
 
     def columns(self) -> list[array]:
         """Every column, in :meth:`typecodes` order."""
@@ -299,8 +273,7 @@ class _CellTable:
             answers[name] = index.entry_answer(entry_id) if entry_id >= 0 else None
         flags = self.flags[cell_id]
         country_id = self.country_ids[cell_id]
-        return PlaneAnswer(  # positional: the cheapest construction
-            answers,
+        consensus = ConsensusAnswer(  # positional: the cheapest construction
             self.countries[country_id] if country_id >= 0 else None,
             self.country_votes[cell_id],
             (
@@ -312,8 +285,10 @@ class _CellTable:
             self.voters[cell_id],
             bool(flags & _COUNTRY_DISAGREEMENT),
             bool(flags & _CITY_DISAGREEMENT),
+            False,  # degraded: the plane only encodes the healthy answer
             bool(flags & _QUORUM),
         )
+        return PlaneAnswer(answers, consensus)
 
 
 class AnswerPlane:
@@ -484,31 +459,6 @@ class AnswerPlane:
         )
 
 
-def _vote_row(records, start: int, city_range_km: float, quorum_min: int):
-    """One cell's §5.1 consensus: ``(country, country_votes, location,
-    location_votes, voters, flags)``."""
-    vote = majority_of_records(
-        parse_address(start), records, city_range_km=city_range_km
-    )
-    country_disagreement, city_disagreement = disagreement_of_records(
-        records, city_range_km=city_range_km
-    )
-    flags = (
-        (_COUNTRY_DISAGREEMENT if country_disagreement else 0)
-        | (_CITY_DISAGREEMENT if city_disagreement else 0)
-        | (_QUORUM if vote.voters >= quorum_min else 0)
-        | (_HAS_LOCATION if vote.location is not None else 0)
-    )
-    return (
-        vote.country,
-        vote.country_votes,
-        vote.location,
-        vote.location_votes,
-        vote.voters,
-        flags,
-    )
-
-
 def compile_plane(
     indexes: Mapping[str, CompiledIndex],
     *,
@@ -551,7 +501,10 @@ def compile_plane(
                 if entry_id >= 0
             ]
             table.append(
-                entry_ids, *_vote_row(records, start, city_range_km, quorum_min)
+                entry_ids,
+                consensus_of_records(
+                    records, city_range_km=city_range_km, quorum_min=quorum_min
+                ),
             )
         if cell_ids and cell_ids[-1] == cell_id:
             continue  # same answer as the previous interval: merge

@@ -92,7 +92,7 @@ def test_memo_matches_judge_on_every_cell(engine, enrich_plane):
             judged += bool(expected)
     assert judged > 0
     quorum_cells = {
-        id(cell) for cell, _, _ in cell_addresses(enrich_plane) if cell.quorum
+        id(cell) for cell, _, _ in cell_addresses(enrich_plane) if cell.consensus.quorum
     }
     assert set(cells) == quorum_cells
 

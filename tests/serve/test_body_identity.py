@@ -250,7 +250,8 @@ def address_pools(exotic_plane):
     disagreement = [
         start
         for start, cell_id in zip(starts, cell_ids)
-        if cells[cell_id].country_disagreement or cells[cell_id].city_disagreement
+        if cells[cell_id].consensus.country_disagreement
+        or cells[cell_id].consensus.city_disagreement
     ]
     assert disagreement and edges and slash24
     return edges, slash24, disagreement

@@ -11,6 +11,7 @@ metrics.
 """
 
 import dataclasses
+import hashlib
 import sys
 import threading
 
@@ -80,12 +81,18 @@ class TestEquivalence:
         self, live_engine, plane_engine, answer_plane
     ):
         """Either side of every merged interval boundary agrees with the
-        live path — an off-by-one in the bisect shift would fail here."""
+        live path — an off-by-one in the bisect shift would fail here —
+        and so does its consensus, which checks the compile-time vote of
+        every cell against the live one."""
         starts = answer_plane.parts()[0]
         for start in starts[1:]:
             for address in (start - 1, start):
                 live = live_engine.lookup_outcome(address)
-                assert plane_engine.lookup_outcome(address) == live
+                plane = plane_engine.lookup_outcome(address)
+                assert plane == live
+                assert plane_engine.consensus_of(plane) == live_engine.consensus_of(
+                    live
+                )
 
     def test_pool_exercises_every_address_class(
         self, answer_plane, probe_addresses
@@ -102,9 +109,9 @@ class TestEquivalence:
             all(answer is not None for answer in cell.answers.values())
             for cell in cells
         )
-        assert any(cell.country_disagreement for cell in cells)
-        assert any(not cell.quorum for cell in cells)
-        assert any(cell.quorum for cell in cells)
+        assert any(cell.consensus.country_disagreement for cell in cells)
+        assert any(not cell.consensus.quorum for cell in cells)
+        assert any(cell.consensus.quorum for cell in cells)
 
     def test_adjacent_intervals_never_share_a_cell(self, answer_plane):
         starts, cell_ids, cells = answer_plane.parts()
@@ -137,6 +144,7 @@ class TestCellReference:
             plane = plane_engine.lookup_outcome(address)
             live = live_engine.lookup_outcome(address)
             assert plane_engine.consensus_of(plane) == live_engine.consensus_of(live)
+            assert plane_engine.consensus_of(plane) is plane.cell.consensus
 
     @pytest.mark.parametrize("with_plane", [True, False])
     def test_consensus_counts_once_per_call(
@@ -365,6 +373,15 @@ class TestPersistence:
         assert list(loaded_cells) == list(cells)
         for address in probe_addresses[::29]:
             assert loaded.lookup(address) == answer_plane.lookup(address)
+
+    def test_saved_bytes_are_pinned(self, answer_plane, tmp_path):
+        """The ``.rgpl`` of the session scenario (seed 2016, scale 0.08)
+        is byte-for-byte fixed: a change to how cells are built or packed
+        must not move a single byte of the file."""
+        path = save_plane(answer_plane, tmp_path / "plane.rgpl")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "dcc46fc44c8e32b0a2e2cb6a19bb8d1a05478f8f1d69f41278bd2bd34693d0b2"
+        )
 
     def test_loaded_plane_serves_identically(
         self, compiled_indexes, answer_plane, live_engine, tmp_path, probe_addresses
