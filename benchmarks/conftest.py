@@ -29,15 +29,22 @@ BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2016"))
 
 _OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
-#: Per-benchmark wall-times land here (repo root) so successive PRs have
-#: a perf trajectory to compare against.
-_BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+#: The tracked perf trajectory (repo root): what successive changes
+#: compare against.  A run never writes it; a change that records new
+#: numbers copies ``_BENCH_JSON`` over it.
+_TRACKED_BENCH_JSON = (
+    pathlib.Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
+)
+
+#: Per-benchmark wall-times land here, in the ignored output directory,
+#: seeded from the tracked file, so a benchmark run leaves the tree clean.
+_BENCH_JSON = _OUTPUT_DIR / "BENCH_pipeline.json"
 
 _wall_times: dict[str, float] = {}
 
 #: Named result sections benchmarks attach via ``record_perf`` (e.g. the
-#: lookup-throughput numbers) — merged into BENCH_pipeline.json alongside
-#: the wall-times.
+#: lookup-throughput numbers) — merged into the run's BENCH_pipeline.json
+#: alongside the wall-times.
 _extra_sections: dict[str, object] = {}
 
 
@@ -62,20 +69,21 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Merge this run's results into the perf snapshot.
+    """Merge this run's results into the perf snapshot under
+    ``benchmarks/output/``.
 
     Merging (rather than overwriting) lets a partial run — say, only the
     lookup-throughput benchmark — refresh its own numbers without erasing
-    the rest of the trajectory.
+    the rest of the trajectory.  The first run merges into a copy of the
+    tracked ``BENCH_pipeline.json``; later runs into their own output.
     """
     if not _wall_times and not _extra_sections:
         return
-    payload: dict[str, object] = {}
-    if _BENCH_JSON.exists():
-        try:
-            payload = json.loads(_BENCH_JSON.read_text())
-        except (OSError, json.JSONDecodeError):
-            payload = {}
+    source = _BENCH_JSON if _BENCH_JSON.exists() else _TRACKED_BENCH_JSON
+    try:
+        payload = json.loads(source.read_text())
+    except (OSError, json.JSONDecodeError):
+        payload = {}
     payload["scale"] = BENCH_SCALE
     payload["seed"] = BENCH_SEED
     payload["environment"] = _environment_block()
@@ -83,12 +91,13 @@ def pytest_sessionfinish(session, exitstatus):
     wall_times.update(_wall_times)
     payload["wall_times_s"] = dict(sorted(wall_times.items()))
     payload.update(_extra_sections)
+    _OUTPUT_DIR.mkdir(exist_ok=True)
     _BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture()
 def record_perf():
-    """Attach one named result section to BENCH_pipeline.json."""
+    """Attach one named result section to the run's BENCH_pipeline.json."""
 
     def _record(key: str, value) -> None:
         _extra_sections[key] = value

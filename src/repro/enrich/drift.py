@@ -12,17 +12,18 @@ consensus answers (``coverage_loss``).
 
 Two truthfulness rules keep the alert stream honest:
 
-* **Degradation is not drift.**  While the engine reports the outcome
-  degraded (a vendor quarantined, erroring, or deadline-skipped), every
-  would-be alert is *suppressed* and counted — a quarantined vendor
-  missing from the vote must not read as a database that moved.  This is
+* **Degradation is not drift.**  While the consensus is degraded (its
+  vote ran without a vendor that is quarantined, erroring, or
+  deadline-skipped), every would-be alert is *suppressed* and counted —
+  a quarantined vendor missing from the vote must not read as a
+  database that moved.  This is
   the serving-side version of the §5.1 caveat that agreement statistics
   are only meaningful over databases that actually answered.
 * **No consensus, no drift.**  Alerts only fire when the vote reached
   quorum; a two-vendor split is disagreement (already flagged on the
   consensus), not drift *from* anything.
 
-Alert *sequences* are a pure function of the outcome/consensus stream —
+Alert *sequences* are a pure function of the answers/consensus stream —
 the detector holds no clock-dependent state on that path — which is what
 lets the determinism suite assert identical alerts across serving paths.
 Rolling per-vendor alert rates (for ``stats()``/operators) are tracked in
@@ -34,8 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.majority import DEFAULT_CITY_RANGE_KM
 from repro.obs.window import RollingWindow
@@ -46,15 +46,15 @@ __all__ = ["ALERT_KINDS", "DriftAlert", "DriftDetector"]
 ALERT_KINDS = ("country_flip", "city_flip", "coverage_loss")
 
 
-@dataclass(frozen=True, slots=True)
-class DriftAlert:
+class DriftAlert(NamedTuple):
     """One vendor's drift from the consensus on one event.
 
     ``observed`` is the vendor's answer (its country code, or its city
     name for city flips; ``None`` for coverage loss), ``expected`` the
     consensus country for every kind of alert — the consensus carries a
     location but no city name; ``distance_km`` is filled for city flips
-    only.
+    only.  A named tuple rather than a frozen dataclass: every alerting
+    event builds its alerts on the enrichment path.
     """
 
     seq: int
@@ -66,24 +66,18 @@ class DriftAlert:
     distance_km: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "address": self.address,
-            "vendor": self.vendor,
-            "kind": self.kind,
-            "observed": self.observed,
-            "expected": self.expected,
-            "distance_km": self.distance_km,
-        }
+        return self._asdict()
 
 
 class DriftDetector:
     """Holds each vendor's answers against the consensus, statefully
     counting but statelessly judging.
 
-    :meth:`inspect` is called once per enriched event, in input order
-    (the pipeline's one submitting thread owns that ordering).  Counters and rolling
-    windows lock internally so ``stats()`` can be scraped concurrently.
+    :meth:`inspect` is called once per enriched event, in input order,
+    by the pipeline's one submitting thread — the only writer of
+    ``inspected`` and ``suppressed``, so those count without a lock.
+    Alert totals, per-kind counts and the rolling windows take one lock
+    per alerting event, so ``stats()`` can be scraped concurrently.
     """
 
     def __init__(
@@ -107,12 +101,13 @@ class DriftDetector:
 
     # -- judgement (pure per event) ------------------------------------------
 
-    def _judge(self, seq: int, outcome, consensus) -> list[DriftAlert]:
-        """The stateless core: alerts for one healthy outcome."""
+    def _judge(
+        self, seq: int, address: str, answers, consensus
+    ) -> list[DriftAlert]:
+        """The stateless core: alerts for one healthy set of answers."""
         alerts: list[DriftAlert] = []
-        address = str(outcome.address)
-        for vendor in sorted(outcome.answers):
-            answer = outcome.answers[vendor]
+        for vendor in sorted(answers):
+            answer = answers[vendor]
             if answer is None:
                 # Healthy vendor, no coverage, while the quorum answers:
                 # the vendor lost (or never had) this block.
@@ -176,46 +171,43 @@ class DriftDetector:
         return memo.setdefault(("drift.cells", self.city_range_km), {})
 
     def inspect(
-        self, seq: int, outcome, consensus, cells: dict
+        self, seq: int, address: str, answers, consensus, cell, cells: dict
     ) -> tuple[DriftAlert, ...]:
-        """Alerts for one event — or ``()`` with a suppression count when
-        the engine served it degraded (quarantine must not read as
-        drift).
+        """Alerts for one event's ``answers`` against their
+        ``consensus`` — or ``()`` with a suppression count when the
+        consensus is degraded (quarantine must not read as drift).
 
-        ``cells`` (from :meth:`cell_verdicts`, or any dict) memoizes the
-        judgement of a plane outcome per cell: every address in a cell
-        has the same answers and the same consensus (``consensus`` must
-        be the engine's ``consensus_of(outcome)``), so only ``seq`` and
-        ``address`` differ between its alerts.  Live and degraded
-        outcomes carry no cell and are judged afresh.
+        ``address`` is the event's address text, reported in each alert.
+        ``cell`` is the answer-plane cell the answers came from, or
+        ``None`` on the live and degraded paths.  ``cells`` (from
+        :meth:`cell_verdicts`, or any dict) memoizes the judgement of a
+        cell: every address in a cell has the same answers and the same
+        consensus (``consensus`` must be the cell's), so only ``seq``
+        and ``address`` differ between its alerts.  Answers without a
+        cell are judged afresh.
         """
-        with self._lock:
-            self.inspected += 1
-        if outcome.degraded or consensus.degraded:
-            with self._lock:
-                self.suppressed += 1
+        self.inspected += 1
+        if consensus.degraded:
+            self.suppressed += 1
             if self._metrics is not None:
                 self._metrics.inc("enrich.drift_suppressed")
             return ()
         if not consensus.quorum:
             return ()
-        cell = outcome.cell
         if cell is None:
-            alerts = self._judge(seq, outcome, consensus)
+            alerts = self._judge(seq, address, answers, consensus)
         else:
             # Keyed by identity; the entry holds the cell, so its id
             # cannot be reused while the entry exists.
             entry = cells.get(id(cell))
             if entry is None:
                 templates = tuple(
-                    (alert.vendor, alert.kind, alert.observed, alert.expected,
-                     alert.distance_km)
-                    for alert in self._judge(seq, outcome, consensus)
+                    alert[2:]
+                    for alert in self._judge(seq, address, answers, consensus)
                 )
                 entry = cells[id(cell)] = (cell, templates)
             if not entry[1]:
                 return ()
-            address = str(outcome.address)
             alerts = [DriftAlert(seq, address, *fields) for fields in entry[1]]
         if alerts:
             self._record(alerts)

@@ -2,8 +2,9 @@
 
 Topology::
 
-    submit() ──▶ on the caller: engine.outcome_batch([event])
-                 → whois → consensus → drift → sink
+    submit() ──▶ on the caller: address_int(event.address)
+                 → engine.lookup_plane → whois → drift → sink
+                   (no cell: engine.outcome_batch([addr]) → consensus_of)
 
 **Enrichment runs on the caller.**  Engine, consensus, the in-memory
 whois registry and drift are CPU-bound Python that the GIL runs one
@@ -15,25 +16,39 @@ sink has it.  There is no queue and no thread: a slow pipeline backs up
 into ``submit`` directly, which is lossless back-pressure by
 construction, and output order is admission order.
 
+**A healthy event reads its plane cell.**  The address is parsed once,
+to an ``int``; the engine's answer-plane cell for it carries the
+per-vendor answers and their §5.1 consensus, which the event takes as
+they are — no address object, no ``LookupOutcome``, no second consensus
+pass.  Whois and drift key on the same ``int`` and cell.  The hit is
+credited through ``outcome_batch((), plane_hits=1)`` plus one
+``serve.consensus``, so every engine counter reads as if the event had
+gone through ``outcome_batch`` and ``consensus_of``.  Only when the
+plane cannot answer (no plane, a vendor degraded, a fault injector
+armed) does the event take that outcome path.
+
 **Determinism by construction.**  Enrichment of one event is a pure
 function of the engine/whois state (no wall time is serialized), so the
 same seed and stream produce byte-identical enriched output and drift
 alerts.  Timing only moves latency metrics.
 
-Failure: a sink or engine exception (``SystemExit`` included) is
-recorded as a crash, later events are dropped, and ``drain()`` raises
-it, so a bad sink fails ``drain`` rather than ``submit``.
-``KeyboardInterrupt`` propagates from ``submit``, so Ctrl-C stops the
-producer.
+Failure: an address that does not parse comes out as its event with
+``error`` set (``"ValueError: not an IPv4 address: …"``) and empty geo
+fields, exactly like a typed serving error, and the stream goes on.  A
+sink or engine exception (``SystemExit`` included) is recorded as a
+crash, later events are dropped, and ``drain()`` raises it, so a bad
+sink fails ``drain`` rather than ``submit``.  ``KeyboardInterrupt``
+propagates from ``submit``, so Ctrl-C stops the producer.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from repro.enrich.drift import DriftAlert, DriftDetector
+from repro.net.ip import IPv4Address, address_int
 from repro.net.registry import TeamCymruWhois, UnallocatedAddressError, WhoisRecord
 from repro.obs.quantiles import BucketHistogram
 from repro.serve.engine import ConsensusAnswer, ServingEngine
@@ -74,13 +89,14 @@ def _whois_to_json(record: WhoisRecord) -> dict[str, Any]:
     }
 
 
-@dataclass(frozen=True, slots=True)
-class EnrichedEvent:
+class EnrichedEvent(NamedTuple):
     """One firehose event with everything the pipeline learned about it.
 
-    ``error`` is set (and the geo fields emptied) when the serving layer
-    returned a typed error for this address — the event still flows
-    through, so every submitted event comes out exactly once.
+    ``error`` is set (and the geo fields emptied) when the event's
+    address does not parse or the serving layer returned a typed error
+    for it — the event still flows through, so every submitted event
+    comes out exactly once.  A named tuple rather than a frozen
+    dataclass: one is built per event.
     """
 
     event: Any
@@ -110,6 +126,24 @@ class EnrichedEvent:
             "alerts": [alert.to_dict() for alert in self.alerts],
             "error": self.error,
         }
+
+
+def _error(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _unresolved(event, exc: BaseException) -> EnrichedEvent:
+    """``event`` with empty geo fields: its address does not parse, or
+    the serving layer returned the typed error ``exc`` for it."""
+    return EnrichedEvent(
+        event=event,
+        answers={},
+        consensus=None,
+        whois=None,
+        degraded=True,
+        unavailable=(),
+        error=_error(exc),
+    )
 
 
 @dataclass(slots=True)
@@ -281,49 +315,18 @@ class EnrichmentPipeline:
     # -- enrichment ----------------------------------------------------------
 
     def _enrich(self, admitted: float, event) -> None:
-        engine = self.engine
         # Fetched before the lookup: a swap in between can then only put
         # newer cells into an older generation's table, never the reverse.
-        cells = self.detector.cell_verdicts(engine.generation_memo())
-        # A batch of one hands back a serving error as a value, not a raise.
-        (outcome,) = engine.outcome_batch([event.address])
-        if isinstance(outcome, ServeError):
-            answers, degraded, unavailable = {}, True, ()
-            consensus = record = None
-            error: str | None = f"{type(outcome).__name__}: {outcome}"
+        cells = self.detector.cell_verdicts(self.engine.generation_memo())
+        try:
+            addr = address_int(event.address)
+        except ValueError as exc:
+            # One malformed address is its own event's error, not the
+            # stream's.
+            enriched = _unresolved(event, exc)
         else:
-            answers, degraded = outcome.answers, outcome.degraded
-            unavailable = outcome.unavailable()
-            record = None
-            if self.whois is not None:
-                try:
-                    record = self.whois.lookup(outcome.address)
-                except UnallocatedAddressError:
-                    pass
-                except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
-                    record = exc
-            try:
-                consensus = self.engine.consensus_of(outcome)
-            except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
-                consensus, record = None, exc
-            error = None
-            if isinstance(record, Exception):
-                error = f"{type(record).__name__}: {record}"
-                consensus = record = None
-        enriched = EnrichedEvent(
-            event=event,
-            answers=answers,
-            consensus=consensus,
-            whois=record,
-            degraded=degraded,
-            unavailable=unavailable,
-            alerts=(
-                ()
-                if consensus is None
-                else self.detector.inspect(event.seq, outcome, consensus, cells)
-            ),
-            error=error,
-        )
+            enriched = self._resolve(event, addr, cells)
+        error = enriched.error
         latency_ms = (time.perf_counter() - admitted) * 1000.0
         self.latency_ms.observe(latency_ms)
         self.enriched += 1
@@ -336,6 +339,62 @@ class EnrichmentPipeline:
                 self._metrics.inc("enrich.errors")
         if self._sink is not None:
             self._sink(enriched)
+
+    def _resolve(self, event, addr: int, cells: dict) -> EnrichedEvent:
+        """``event`` enriched from its parsed address ``addr``: from its
+        plane cell when the plane answers, else through the outcome
+        path."""
+        engine = self.engine
+        outcome = None
+        cell = engine.lookup_plane(addr)
+        if cell is not None:
+            # The healthy path reads the cell's answers and consensus
+            # as they are, and counts what the outcome path would.
+            engine.outcome_batch((), plane_hits=1)
+            metrics = engine.metrics
+            if metrics is not None:
+                metrics.inc("serve.consensus")
+            answers, consensus = cell
+            degraded, unavailable = False, ()
+        else:
+            # A batch of one hands back a serving error as a value.
+            (outcome,) = engine.outcome_batch([addr])
+            if isinstance(outcome, ServeError):
+                return _unresolved(event, outcome)
+            answers, degraded = outcome.answers, outcome.degraded
+            unavailable, cell = outcome.unavailable(), outcome.cell
+        record = None
+        if self.whois is not None:
+            try:
+                record = self.whois.lookup(addr)
+            except UnallocatedAddressError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
+                record = exc
+        if outcome is not None:
+            try:
+                consensus = engine.consensus_of(outcome)
+            except Exception as exc:  # noqa: BLE001 - one bad event must not kill the stream
+                record = exc
+        if isinstance(record, Exception):
+            return EnrichedEvent(
+                event=event,
+                answers=answers,
+                consensus=None,
+                whois=None,
+                degraded=degraded,
+                unavailable=unavailable,
+                error=_error(record),
+            )
+        address = event.address
+        # An accepted string is already the canonical dotted quad.
+        text = address if isinstance(address, str) else str(IPv4Address(addr))
+        alerts = self.detector.inspect(
+            event.seq, text, answers, consensus, cell, cells
+        )
+        return EnrichedEvent(
+            event, answers, consensus, record, degraded, unavailable, alerts
+        )
 
     # -- observability -------------------------------------------------------
 

@@ -57,13 +57,15 @@ def parse_address(text: str | int | IPv4Address) -> IPv4Address:
 
 def address_int(text: str | int | IPv4Address) -> int:
     """``int(parse_address(text))``, without building the address object
-    for a canonical dotted quad.
+    for a canonical dotted quad or an in-range ``int``.
 
     Accepts and refuses exactly what :func:`parse_address` does, with the
     same error.  Every string it accepts is canonical — ``ipaddress``
     refuses leading zeros, padding and non-ASCII digits — so a caller
     may echo an accepted string as the address's text.
     """
+    if type(text) is int and 0 <= text <= 0xFFFFFFFF:
+        return text
     if isinstance(text, str) and _DOTTED_QUAD.match(text) is not None:
         return int.from_bytes(socket.inet_aton(text), "big")
     return int(parse_address(text))

@@ -27,6 +27,7 @@ from repro.net.ip import (
     IPv4Address,
     IPv4Network,
     PrefixPool,
+    address_int,
     parse_address,
     parse_network,
 )
@@ -228,8 +229,13 @@ class TeamCymruWhois:
             self._cache.clear()
 
     def lookup(self, address: IPv4Address | str | int) -> WhoisRecord:
-        """Resolve one address to its origin ASN, prefix, country, and RIR."""
-        addr = parse_address(address)
+        """Resolve one address to its origin ASN, prefix, country, and RIR.
+
+        The memo is keyed by the address integer, so the text, integer
+        and object forms of one address share an entry; the record's
+        address object is built only on a miss.
+        """
+        addr = address_int(address)
         if self._metrics is not None:
             self._metrics.inc("whois.queries")
         cache = self._cache
@@ -249,7 +255,7 @@ class TeamCymruWhois:
                 self._metrics.inc("whois.unallocated")
             raise
         record = WhoisRecord(
-            address=addr,
+            address=IPv4Address(addr),
             asn=delegation.asn,
             bgp_prefix=delegation.prefix,
             country=delegation.registered_country,

@@ -652,6 +652,13 @@ class ServingEngine:
         if self._injector is not None:
             self._injector.attach_metrics(metrics)
 
+    @property
+    def metrics(self) -> MetricsRegistry | None:
+        """The registry :meth:`attach_metrics` attached (``None`` when
+        detached), for a caller that serves a :meth:`lookup_plane` cell
+        to count what the engine's own path would have counted."""
+        return self._metrics
+
     def plane_stats(self) -> dict[str, object] | None:
         """The attached answer plane's ``/statusz`` block (``None`` when
         no plane is attached).

@@ -19,6 +19,7 @@ safe to share across serving threads and to persist as a snapshot
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
@@ -67,11 +68,12 @@ class CompiledIndex:
     * ``_starts`` — interval start addresses, strictly increasing,
       beginning at 0; interval *i* covers ``[_starts[i], _starts[i+1])``
       (the last interval ends at 2^32);
-    * ``_answers`` — per-interval entry id into ``_entries`` (−1 = no
-      coverage); adjacent intervals never share an answer (merged at
-      compile time);
-    * ``_entries`` — ``(prefix_cidr, record_id)`` pairs, one per original
-      database entry that actually answers some interval;
+    * ``_answers`` — per-interval entry id (−1 = no coverage); adjacent
+      intervals never share an answer (merged at compile time);
+    * ``_prefixes`` / ``_record_ids`` — per entry id, its CIDR text and
+      its id into ``_records``, one entry per original database entry
+      that actually answers some interval (two flat columns, not a
+      tuple of pairs: a pair costs a tuple object per entry);
     * ``_records`` — deduplicated :class:`GeoRecord` objects;
     * ``_entry_answers`` — the per-entry :class:`IndexAnswer` memo behind
       :meth:`entry_answer` (filled on first use, never changed after).
@@ -79,7 +81,8 @@ class CompiledIndex:
     The hot path deliberately avoids :mod:`array` storage: ``bisect`` over
     an ``array`` boxes a fresh ``int`` per comparison, which measurably
     loses to the hash-table walk — plain lists keep the probe in C all the
-    way.  (Snapshots still pack to fixed-width integers on disk.)
+    way.  (Snapshots still pack to fixed-width integers on disk.)  Only
+    the record-id column, read once per entry, is an ``array``.
 
     Construct via :meth:`compile` (from a database),
     :meth:`compile_entries` (from a sorted entry stream), or the
@@ -92,7 +95,8 @@ class CompiledIndex:
         "checksum",
         "_starts",
         "_answers",
-        "_entries",
+        "_prefixes",
+        "_record_ids",
         "_records",
         "_entry_answers",
         "probe",
@@ -119,21 +123,22 @@ class CompiledIndex:
         self.checksum: str | None = None
         self._starts = list(starts)
         self._answers = list(answers)
-        self._entries = tuple(map(tuple, entries))
+        self._prefixes = [prefix for prefix, _ in entries]
+        record_ids = [record_id for _, record_id in entries]
         self._records = tuple(records)
         if self._answers and (
-            min(self._answers) < -1 or max(self._answers) >= len(self._entries)
+            min(self._answers) < -1 or max(self._answers) >= len(self._prefixes)
         ):
             raise ValueError("answers reference entries outside the table")
-        record_ids = [rid for _, rid in self._entries]
         if record_ids and (
             min(record_ids) < 0 or max(record_ids) >= len(self._records)
         ):
             raise ValueError("entries reference records outside the table")
+        self._record_ids = array("i", record_ids)
         # Per-entry answers, built on first use: an index answers far
         # fewer distinct entries per process lifetime than it loads, and
         # boot should not pay for the rest (see entry_answer).
-        self._entry_answers: list[IndexAnswer | None] = [None] * len(self._entries)
+        self._entry_answers: list[IndexAnswer | None] = [None] * len(self._prefixes)
 
         # The probes are bound as closures tuned for per-request cost:
         #
@@ -184,8 +189,10 @@ class CompiledIndex:
         returns the same object."""
         answer = self._entry_answers[entry_id]
         if answer is None:
-            prefix, record_id = self._entries[entry_id]
-            answer = IndexAnswer(prefix=prefix, record=self._records[record_id])
+            answer = IndexAnswer(
+                prefix=self._prefixes[entry_id],
+                record=self._records[self._record_ids[entry_id]],
+            )
             self._entry_answers[entry_id] = answer
         return answer
 
@@ -269,7 +276,7 @@ class CompiledIndex:
     @property
     def entry_count(self) -> int:
         """Distinct answering entries (valid ids for :meth:`entry_answer`)."""
-        return len(self._entries)
+        return len(self._prefixes)
 
     def entry_at(self, addr: int) -> int:
         """The entry id answering a pre-validated address integer (−1 =
@@ -285,8 +292,15 @@ class CompiledIndex:
     def parts(
         self,
     ) -> tuple[list[int], list[int], tuple[tuple[str, int], ...], tuple[GeoRecord, ...]]:
-        """The snapshot-serialisable components (treat as read-only)."""
-        return self._starts, self._answers, self._entries, self._records
+        """The snapshot-serialisable components (treat as read-only):
+        interval starts, interval answers, ``(prefix_cidr, record_id)``
+        entry pairs (built on each call) and records."""
+        return (
+            self._starts,
+            self._answers,
+            tuple(zip(self._prefixes, self._record_ids)),
+            self._records,
+        )
 
     def __len__(self) -> int:
         return self.interval_count

@@ -481,10 +481,12 @@ def compile_plane(
     names = tuple(sorted(indexes))
     bound = [indexes[name] for name in names]
     entry_records = []
+    vendor_starts = []
     for index in bound:
-        _, _, entries, records = index.parts()
+        index_starts, _, entries, records = index.parts()
+        vendor_starts.append(index_starts)
         entry_records.append([records[record_id] for _, record_id in entries])
-    merged = merge_starts([index.parts()[0] for index in bound])
+    merged = merge_starts(vendor_starts)
 
     table = _CellTable.empty(names, bound)
     starts: list[int] = []

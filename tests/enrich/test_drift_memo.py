@@ -5,8 +5,8 @@ the cell's answers raise against its consensus; each event then only
 fills in ``seq`` and ``address``.  These tests pin that the memo is
 invisible: the enriched stream of a fixed seed hashes to the digest the
 unmemoised pipeline produced, every cell of a plane gets exactly the
-alerts ``_judge`` gives it, and outcomes without a cell (live, degraded)
-never touch the memo.
+alerts ``_judge`` gives it, and answers without a cell (live) or with a
+degraded consensus never touch the memo.
 """
 
 import dataclasses
@@ -83,12 +83,15 @@ def test_memo_matches_judge_on_every_cell(engine, enrich_plane):
             outcome = engine.lookup_outcome(address)
             assert outcome.cell is cell
             consensus = engine.consensus_of(outcome)
+            text = str(outcome.address)
             expected = (
-                tuple(detector._judge(seq, outcome, consensus))
+                tuple(detector._judge(seq, text, outcome.answers, consensus))
                 if consensus.quorum
                 else ()
             )
-            assert detector.inspect(seq, outcome, consensus, cells) == expected
+            assert detector.inspect(
+                seq, text, outcome.answers, consensus, outcome.cell, cells
+            ) == expected
             judged += bool(expected)
     assert judged > 0
     quorum_cells = {
@@ -108,12 +111,15 @@ def test_live_and_degraded_outcomes_bypass_the_memo(
         outcome = live.lookup_outcome(address)
         assert outcome.cell is None
         consensus = live.consensus_of(outcome)
+        text = str(outcome.address)
         expected = (
-            tuple(detector._judge(seq, outcome, consensus))
+            tuple(detector._judge(seq, text, outcome.answers, consensus))
             if consensus.quorum
             else ()
         )
-        assert detector.inspect(seq, outcome, consensus, cells) == expected
+        assert detector.inspect(
+            seq, text, outcome.answers, consensus, outcome.cell, cells
+        ) == expected
     assert cells == {}
 
     # A degraded outcome is suppressed before the memo is consulted,
@@ -122,8 +128,12 @@ def test_live_and_degraded_outcomes_bypass_the_memo(
     vendor = sorted(outcome.answers)[0]
     degraded = dataclasses.replace(outcome, errors={vendor: "boom"})
     assert degraded.cell is not None and degraded.degraded
+    # The vote the live path builds over a degraded outcome is degraded.
+    consensus = plane.consensus_of(degraded)._replace(degraded=degraded.degraded)
     suppressed = detector.suppressed
-    assert detector.inspect(0, degraded, plane.consensus_of(degraded), cells) == ()
+    assert detector.inspect(
+        0, str(degraded.address), degraded.answers, consensus, degraded.cell, cells
+    ) == ()
     assert detector.suppressed == suppressed + 1
     assert cells == {}
 
