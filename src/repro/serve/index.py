@@ -19,6 +19,7 @@ safe to share across serving threads and to persist as a snapshot
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -31,6 +32,19 @@ from repro.geodb.record import GeoRecord
 from repro.net.ip import IPv4Address, parse_address
 
 __all__ = ["CompiledIndex", "IndexAnswer"]
+
+#: 4-byte unsigned and signed :mod:`array` typecodes — the widths a
+#: snapshot packs interval starts and answers in, on every platform.
+UINT32 = "I" if array("I").itemsize == 4 else "L"
+INT32 = "i" if array("i").itemsize == 4 else "l"
+
+
+def _column(typecode: str, values: Sequence[int]) -> array:
+    """``values`` as a ``typecode`` array: taken as is when it already is
+    one (a snapshot load hands over fresh arrays), else copied once."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    return array(typecode, values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +77,7 @@ class IndexAnswer:
 class CompiledIndex:
     """A :class:`GeoDatabase` flattened into disjoint sorted intervals.
 
-    Internals (immutable after construction, apart from the memo):
+    Internals (immutable after construction, apart from the memos):
 
     * ``_starts`` — interval start addresses, strictly increasing,
       beginning at 0; interval *i* covers ``[_starts[i], _starts[i+1])``
@@ -76,13 +90,21 @@ class CompiledIndex:
       tuple of pairs: a pair costs a tuple object per entry);
     * ``_records`` — deduplicated :class:`GeoRecord` objects;
     * ``_entry_answers`` — the per-entry :class:`IndexAnswer` memo behind
-      :meth:`entry_answer` (filled on first use, never changed after).
+      :meth:`entry_answer` (filled on first use, never changed after);
+    * ``_probe_tables`` — the list-backed probe tables, ``None`` until
+      the first live probe builds them (see below).
 
-    The hot path deliberately avoids :mod:`array` storage: ``bisect`` over
-    an ``array`` boxes a fresh ``int`` per comparison, which measurably
-    loses to the hash-table walk — plain lists keep the probe in C all the
-    way.  (Snapshots still pack to fixed-width integers on disk.)  Only
-    the record-id column, read once per entry, is an ``array``.
+    At rest the interval columns are 4-byte :mod:`array` arrays, read
+    straight from a snapshot's bytes: a list of boxed ints costs ~9x the
+    memory, and a plane-served process (:mod:`repro.serve.plane`)
+    answers every healthy lookup without probing an index at all.  The
+    probes themselves bisect *lists*, though: ``bisect`` over an
+    ``array`` boxes a fresh ``int`` per comparison (552 ns against
+    380 ns over a list of 42,615 starts).  So :attr:`probe`,
+    :attr:`probe_answer` and :meth:`entry_at` build their lists from the
+    arrays on their first call — once per index, under a lock, shared by
+    every thread — and a process that never resolves live never pays
+    for them.
 
     Construct via :meth:`compile` (from a database),
     :meth:`compile_entries` (from a sorted entry stream), or the
@@ -99,6 +121,8 @@ class CompiledIndex:
         "_record_ids",
         "_records",
         "_entry_answers",
+        "_probe_tables",
+        "_lock",
         "probe",
         "probe_answer",
     )
@@ -121,8 +145,8 @@ class CompiledIndex:
         #: SHA-256 of this index's ``.rgix`` payload, set when the index
         #: is saved or loaded (see :func:`repro.serve.snapshot.index_checksum`).
         self.checksum: str | None = None
-        self._starts = list(starts)
-        self._answers = list(answers)
+        self._starts = _column(UINT32, starts)
+        self._answers = _column(INT32, answers)
         self._prefixes = [prefix for prefix, _ in entries]
         record_ids = [record_id for _, record_id in entries]
         self._records = tuple(records)
@@ -139,7 +163,37 @@ class CompiledIndex:
         # fewer distinct entries per process lifetime than it loads, and
         # boot should not pay for the rest (see entry_answer).
         self._entry_answers: list[IndexAnswer | None] = [None] * len(self._prefixes)
+        self._probe_tables: tuple[list[int], list[int]] | None = None
+        self._lock = threading.Lock()
+        # Until the first live probe, the probes build the list tables
+        # and then rebind themselves to the closures _build_probes makes.
+        self.probe = self._first_probe
+        self.probe_answer = self._first_probe_answer
 
+    def _first_probe(self, addr: int) -> GeoRecord | None:
+        self._probes()
+        return self.probe(addr)
+
+    def _first_probe_answer(self, addr: int) -> IndexAnswer | None:
+        self._probes()
+        return self.probe_answer(addr)
+
+    def _probes(self) -> tuple[list[int], list[int]]:
+        """The list-backed ``(starts, shifted answers)`` tables, built by
+        the first caller; threads racing it wait on the lock and share
+        its build."""
+        tables = self._probe_tables
+        if tables is None:
+            with self._lock:
+                tables = self._probe_tables
+                if tables is None:
+                    tables = self._build_probes()
+        return tables
+
+    def _build_probes(self) -> tuple[list[int], list[int]]:
+        """Build the probe lists from the arrays and bind :attr:`probe`
+        and :attr:`probe_answer` to closures over them (call under the
+        lock, once)."""
         # The probes are bound as closures tuned for per-request cost:
         #
         # * state rides in *positional* defaults — filled from the cheap
@@ -153,16 +207,18 @@ class CompiledIndex:
         #
         # Don't pass the defaults; they exist only to pre-bind the state.
         # Entry -1 (no coverage) indexes the trailing None.
-        entry_records = [self._records[rid] for rid in record_ids]
+        starts = self._starts.tolist()
+        entry_records = [self._records[rid] for rid in self._record_ids]
         entry_records.append(None)
         shifted_records = [None]
         shifted_records += map(entry_records.__getitem__, self._answers)
-        shifted_answers = [-1, *self._answers]
+        shifted_answers = [-1]
+        shifted_answers += self._answers
 
         def probe(
             addr: int,
             _bisect=bisect_right,
-            _starts=self._starts,
+            _starts=starts,
             _records=shifted_records,
         ) -> GeoRecord | None:
             """Raw record lookup on a pre-validated address integer."""
@@ -171,7 +227,7 @@ class CompiledIndex:
         def probe_answer(
             addr: int,
             _bisect=bisect_right,
-            _starts=self._starts,
+            _starts=starts,
             _answers=shifted_answers,
             _entry_answer=self.entry_answer,
         ) -> IndexAnswer | None:
@@ -181,6 +237,8 @@ class CompiledIndex:
 
         self.probe = probe
         self.probe_answer = probe_answer
+        self._probe_tables = (starts, shifted_answers)
+        return self._probe_tables
 
     def entry_answer(self, entry_id: int) -> IndexAnswer:
         """The :class:`IndexAnswer` for entry ``entry_id`` (``0 <=
@@ -281,7 +339,8 @@ class CompiledIndex:
     def entry_at(self, addr: int) -> int:
         """The entry id answering a pre-validated address integer (−1 =
         no coverage) — the answer plane's compile-time probe."""
-        return self._answers[bisect_right(self._starts, addr) - 1]
+        starts, shifted_answers = self._probes()
+        return shifted_answers[bisect_right(starts, addr)]
 
     def intervals(self) -> Iterator[tuple[int, int, int]]:
         """``(start, end, answer_id)`` triples covering the address space."""
@@ -291,10 +350,11 @@ class CompiledIndex:
 
     def parts(
         self,
-    ) -> tuple[list[int], list[int], tuple[tuple[str, int], ...], tuple[GeoRecord, ...]]:
+    ) -> tuple[array, array, tuple[tuple[str, int], ...], tuple[GeoRecord, ...]]:
         """The snapshot-serialisable components (treat as read-only):
-        interval starts, interval answers, ``(prefix_cidr, record_id)``
-        entry pairs (built on each call) and records."""
+        interval starts and interval answers (4-byte arrays),
+        ``(prefix_cidr, record_id)`` entry pairs (built on each call) and
+        records."""
         return (
             self._starts,
             self._answers,

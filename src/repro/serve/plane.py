@@ -55,7 +55,6 @@ import hashlib
 import json
 import pathlib
 import struct
-import sys
 import threading
 from array import array
 from bisect import bisect_right
@@ -67,10 +66,12 @@ from repro.geodb.database import GeoDatabase
 from repro.geodb.intervals import merge_starts
 from repro.net.ip import IPv4Address, parse_address
 from repro.serve.engine import ConsensusAnswer, LookupOutcome, consensus_of_records
-from repro.serve.index import CompiledIndex, IndexAnswer
+from repro.serve.index import UINT32, CompiledIndex, IndexAnswer, _column
 from repro.serve.snapshot import (
     SnapshotError,
     _label_generation,
+    _le_array,
+    _le_bytes,
     index_checksum,
     load_index_set,
 )
@@ -295,13 +296,15 @@ class AnswerPlane:
     """Every vendor's answer and the consensus, precomputed per interval.
 
     Internals: ``_starts`` — the merged cross-vendor interval
-    boundaries, strictly increasing from 0; ``_cell_ids`` — per-interval
-    cell id; ``_table`` — the packed :class:`_CellTable` the cells decode
-    from; ``_cells`` — the per-cell-id decode memo; ``_slots`` — the
-    per-interval cell list the hot probe reads, shifted one slot so the
-    bisect result indexes it directly and filled on first touch.  The
-    hot probe is a closure with state bound in positional defaults,
-    exactly the :class:`~repro.serve.index.CompiledIndex` trick.
+    boundaries, strictly increasing from 0 (a list: the hot probe
+    bisects it); ``_cell_ids`` — per-interval cell id (a 4-byte
+    ``array``: read only on a slot's first touch); ``_table`` — the
+    packed :class:`_CellTable` the cells decode from; ``_cells`` — the
+    per-cell-id decode memo; ``_slots`` — the per-interval cell list the
+    hot probe reads, shifted one slot so the bisect result indexes it
+    directly and filled on first touch.  The hot probe is a closure
+    with state bound in positional defaults, exactly the
+    :class:`~repro.serve.index.CompiledIndex` trick.
 
     Construct via :func:`compile_plane` (from compiled indexes) or
     :func:`load_plane` (from a ``.rgpl`` file).
@@ -343,7 +346,7 @@ class AnswerPlane:
         self.city_range_km = city_range_km
         self.quorum_min = quorum_min
         self._starts = list(starts)
-        self._cell_ids = list(cell_ids)
+        self._cell_ids = _column(UINT32, cell_ids)
         self._table = cells
         self._cells: list[PlaneAnswer | None] = [None] * len(cells)
         self._lock = threading.Lock()
@@ -437,7 +440,7 @@ class AnswerPlane:
         cell (decoding all of them: for inspection and tests, not for
         the serving path).  Treat as read-only."""
         cells = tuple(self._cell(i) for i in range(self.cell_count))
-        return self._starts, self._cell_ids, cells
+        return self._starts, self._cell_ids.tolist(), cells
 
     def stats(self) -> dict[str, object]:
         """A JSON-ready summary for ``/statusz`` and CLI banners."""
@@ -492,6 +495,10 @@ def compile_plane(
     starts: list[int] = []
     cell_ids: list[int] = []
     seen: dict[tuple[int, ...], int] = {}
+    # Many cells vote over the very same record objects (distinct
+    # entries share deduplicated records), and the vote reads nothing
+    # else: one consensus per distinct tuple of record identities.
+    votes: dict[tuple[int, ...], ConsensusAnswer] = {}
     for start in merged:
         entry_ids = tuple(index.entry_at(start) for index in bound)
         cell_id = seen.get(entry_ids)
@@ -502,12 +509,13 @@ def compile_plane(
                 for vendor_records, entry_id in zip(entry_records, entry_ids)
                 if entry_id >= 0
             ]
-            table.append(
-                entry_ids,
-                consensus_of_records(
+            key = tuple(map(id, records))
+            consensus = votes.get(key)
+            if consensus is None:
+                consensus = votes[key] = consensus_of_records(
                     records, city_range_km=city_range_km, quorum_min=quorum_min
-                ),
-            )
+                )
+            table.append(entry_ids, consensus)
         if cell_ids and cell_ids[-1] == cell_id:
             continue  # same answer as the previous interval: merge
         starts.append(start)
@@ -553,24 +561,6 @@ def compile_serving_set(
 # little-endian.  Version 1 stored the cells as a JSON tail restating
 # the vendor records; it is refused with a "recompile" message.
 
-_BIG_ENDIAN = sys.byteorder == "big"
-
-
-def _le_bytes(column: array) -> bytes:
-    if _BIG_ENDIAN:
-        column = array(column.typecode, column)
-        column.byteswap()
-    return column.tobytes()
-
-
-def _le_array(typecode: str, data: memoryview) -> array:
-    column = array(typecode)
-    column.frombytes(data)
-    if _BIG_ENDIAN:
-        column.byteswap()
-    return column
-
-
 def save_plane(plane: AnswerPlane, path: str | pathlib.Path) -> pathlib.Path:
     """Write ``plane`` as one ``.rgpl`` file and return its path.
 
@@ -583,8 +573,8 @@ def save_plane(plane: AnswerPlane, path: str | pathlib.Path) -> pathlib.Path:
     count = plane.interval_count
     payload = b"".join(
         (
-            struct.pack(f"<{count}I", *plane._starts),
-            struct.pack(f"<{count}I", *plane._cell_ids),
+            _le_bytes(array(UINT32, plane._starts)),
+            _le_bytes(plane._cell_ids),
             *(_le_bytes(column) for column in table.columns()),
         )
     )
@@ -710,8 +700,8 @@ def _load_plane(
                 f"{count} intervals and {cells} cells do not fill a"
                 f" {len(payload)}-byte payload"
             )
-        starts = struct.unpack_from(f"<{count}I", payload, 0)
-        cell_ids = struct.unpack_from(f"<{count}I", payload, 4 * count)
+        starts = _le_array(UINT32, payload[: 4 * count]).tolist()
+        cell_ids = _le_array(UINT32, payload[4 * count : 8 * count])
         columns = []
         offset = 8 * count
         for code in typecodes:
@@ -738,7 +728,6 @@ def _load_plane(
             quorum_min=int(header["quorum_min"]),
         )
     except (
-        struct.error,
         KeyError,
         IndexError,
         TypeError,

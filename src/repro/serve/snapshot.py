@@ -36,11 +36,13 @@ import hashlib
 import json
 import pathlib
 import struct
+import sys
+from array import array
 from typing import Mapping
 
 from repro.geodb.record import GeoRecord, LocationSource
 from repro.serve.errors import ServeError
-from repro.serve.index import CompiledIndex
+from repro.serve.index import INT32, UINT32, CompiledIndex
 
 __all__ = [
     "SNAPSHOT_SUFFIX",
@@ -63,6 +65,26 @@ SNAPSHOT_SUFFIX = ".rgix"
 
 class SnapshotError(ServeError):
     """A snapshot file could not be written, read, or trusted."""
+
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _le_bytes(column: array) -> bytes:
+    """``column``'s items as little-endian bytes (the on-disk order)."""
+    if _BIG_ENDIAN:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _le_array(typecode: str, data: memoryview) -> array:
+    """A ``typecode`` array read from little-endian ``data``."""
+    column = array(typecode)
+    column.frombytes(data)
+    if _BIG_ENDIAN:
+        column.byteswap()
+    return column
 
 
 def _label_generation(exc: SnapshotError, generation: int | None):
@@ -104,7 +126,6 @@ def _record_from_row(row: list) -> GeoRecord:
 
 def _pack_payload(index: CompiledIndex) -> bytes:
     starts, answers, entries, records = index.parts()
-    count = len(starts)
     tail = json.dumps(
         {
             "entries": [[prefix, record_id] for prefix, record_id in entries],
@@ -113,13 +134,7 @@ def _pack_payload(index: CompiledIndex) -> bytes:
         separators=(",", ":"),
         sort_keys=True,
     ).encode("utf-8")
-    return b"".join(
-        (
-            struct.pack(f"<{count}I", *starts),
-            struct.pack(f"<{count}i", *answers),
-            tail,
-        )
-    )
+    return b"".join((_le_bytes(starts), _le_bytes(answers), tail))
 
 
 def index_checksum(index: CompiledIndex) -> str:
@@ -224,7 +239,7 @@ def _load_index(
             f"{path} holds database {name!r}, expected {expect_name!r}"
         )
 
-    payload = blob[_PAYLOAD_OFFSET + header_len :]
+    payload = memoryview(blob)[_PAYLOAD_OFFSET + header_len :]
     if len(payload) != header.get("payload_bytes"):
         raise SnapshotError(
             f"{path} is truncated: payload is {len(payload)} bytes,"
@@ -247,9 +262,9 @@ def _load_index(
             raise ValueError(
                 f"interval count {count} does not fit a {len(payload)}-byte payload"
             )
-        starts = struct.unpack_from(f"<{count}I", payload, 0)
-        answers = struct.unpack_from(f"<{count}i", payload, 4 * count)
-        tail = json.loads(payload[8 * count :].decode("utf-8"))
+        starts = _le_array(UINT32, payload[: 4 * count])
+        answers = _le_array(INT32, payload[4 * count : 8 * count])
+        tail = json.loads(str(payload[8 * count :], "utf-8"))
         records = [_record_from_row(row) for row in tail["records"]]
         index = CompiledIndex(
             name=name,
@@ -262,7 +277,6 @@ def _load_index(
         index.checksum = digest
         return index
     except (
-        struct.error,
         UnicodeDecodeError,
         json.JSONDecodeError,
         KeyError,

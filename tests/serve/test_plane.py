@@ -383,6 +383,29 @@ class TestPersistence:
             "dcc46fc44c8e32b0a2e2cb6a19bb8d1a05478f8f1d69f41278bd2bd34693d0b2"
         )
 
+    def test_saved_index_bytes_are_pinned(self, compiled_indexes, tmp_path):
+        """The ``.rgix`` set the plane binds to is pinned the same way: a
+        change to how intervals are packed must not move a byte either."""
+        root = save_index_set(compiled_indexes, tmp_path)
+        digests = {
+            path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.glob("*.rgix")
+        }
+        assert digests == {
+            "IP2Location-Lite": (
+                "b5a06e98c6b0ad85abd68b62419e73e8e966786ce010f19359dfca1282a63640"
+            ),
+            "MaxMind-GeoLite": (
+                "07ab23ae805528d446ffd863f854b55f09e46cbeb44718ad001abe1bd03bf154"
+            ),
+            "MaxMind-Paid": (
+                "614f34a823e4a8656dffdfbda3954692f83bcaaac14d523eab54971ac71dc0d1"
+            ),
+            "NetAcuity": (
+                "0825e4ef6a8575900403da8f9f0c4cabdc48a783840e13ee35f8d542c6e96b5c"
+            ),
+        }
+
     def test_loaded_plane_serves_identically(
         self, compiled_indexes, answer_plane, live_engine, tmp_path, probe_addresses
     ):
